@@ -75,7 +75,8 @@ RunOut run_once(std::uint32_t workers, bool steal) {
   rc.steal = steal;
   rc.adaptive_grain = steal;
   rc.shards = 1;  // single-lock protocol: this bench isolates the steal layer
-  // steal off keeps queue_capacity = batch: the PR 1 batch-16 protocol.
+  // steal off keeps the local queue at exactly batch: the plain batch-16
+  // protocol.
   rt::ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, rc);
   RunOut out;
   out.res = runtime.run();

@@ -112,14 +112,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.refill_lock_acquisitions),
               static_cast<unsigned long long>(result.wait_lock_acquisitions));
   // Sharded executive traffic: refills served lock-locally by a shard
-  // buffer never touch the control mutex at all.
+  // buffer never touch the control mutex at all, and a worker that finds a
+  // sweep in flight goes back to the rings instead of queueing (busy).
   std::printf("shards            : %u (buffer hits %llu + sibling %llu, "
-              "scattered %llu, hold %.1f us)\n",
+              "scattered %llu, hold %.1f us, busy %llu)\n",
               result.shards_used,
               static_cast<unsigned long long>(result.shard_hits),
               static_cast<unsigned long long>(result.shard_sibling_hits),
               static_cast<unsigned long long>(result.shard_scattered),
-              static_cast<double>(result.exec_lock_hold_ns) / 1e3);
+              static_cast<double>(result.exec_lock_hold_ns) / 1e3,
+              static_cast<unsigned long long>(
+                  result.metrics.value_of("exec.control_busy")));
   // Lock-free/slow-path split (DESIGN.md §13): warm assignments popped from
   // the shard rings with no mutex vs. control sweeps; dry probes and refused
   // pushes show how often the slow path absorbed an edge case.

@@ -54,8 +54,17 @@ constexpr std::array<Row, 22> kRows = {{
     {"output_sample",         512,  44, MK::kUniversal,       false, false, MK::kUniversal,       sim::DurationModel::kFixed,        0,   0.5, ""},
 }};
 
-std::string transfer_array(std::size_t i) { return "T" + std::to_string(i); }
-std::string private_array(std::size_t i) { return "U" + std::to_string(i); }
+/// `prefix` followed by `i` in decimal. Appends rather than inserting the
+/// number behind a literal (`"T" + std::to_string(i)`), which GCC 12 flags
+/// with a false -Wrestrict in Release builds.
+std::string numbered(const char* prefix, std::size_t i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
+
+std::string transfer_array(std::size_t i) { return numbered("T", i); }
+std::string private_array(std::size_t i) { return numbered("U", i); }
 
 /// Effective mapping used for declared accesses (what the data actually
 /// does, independent of any serial action in between).
@@ -121,7 +130,7 @@ CasperPipeline build_casper_pipeline(const CasperOptions& opt) {
         break;
       case MK::kReverseIndirect:
         spec.reads(transfer_array(prev), IndexPattern::kIndirect,
-                   "RMAP" + std::to_string(prev));
+                   numbered("RMAP", prev));
         break;
       case MK::kForwardIndirect:
         spec.reads(transfer_array(prev));  // successor side reads identity
@@ -140,7 +149,7 @@ CasperPipeline build_casper_pipeline(const CasperOptions& opt) {
         break;
       case MK::kForwardIndirect:
         spec.writes(transfer_array(i), IndexPattern::kIndirect,
-                    "FMAP" + std::to_string(i));
+                    numbered("FMAP", i));
         break;
       case MK::kNull:
         spec.writes(transfer_array(i), IndexPattern::kWhole);

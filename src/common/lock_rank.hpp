@@ -174,6 +174,16 @@ class PAX_CAPABILITY("mutex") RankedMutex {
       lock_rank::note_acquire(Rank, /*same_rank_ok=*/true);
     mu_.lock();
   }
+  /// Non-blocking acquire. The rank census is entered only on success, and a
+  /// successful out-of-rank try still aborts in checked builds: a try cannot
+  /// deadlock, but the lock graph must stay acyclic for every blocking path
+  /// that holds the same pair.
+  [[nodiscard]] bool try_lock() PAX_TRY_ACQUIRE(true) {
+    if (!mu_.try_lock()) return false;
+    if constexpr (lock_rank::kChecksEnabled)
+      lock_rank::note_acquire(Rank, /*same_rank_ok=*/false);
+    return true;
+  }
   void unlock() PAX_RELEASE() {
     mu_.unlock();
     if constexpr (lock_rank::kChecksEnabled) lock_rank::note_release(Rank);
@@ -205,6 +215,31 @@ class PAX_SCOPED_CAPABILITY RankedLock {
 
  private:
   Mutex& mu_;
+};
+
+/// Annotated try-lock scope guard (std::unique_lock with std::defer_lock,
+/// then try_lock()): constructed unlocked; try_lock() attempts the
+/// acquisition and the destructor releases only what was acquired. Branch on
+/// try_lock() directly so Clang TSA sees which arm holds the mutex.
+template <class Mutex>
+class PAX_SCOPED_CAPABILITY RankedTryLock {
+ public:
+  explicit RankedTryLock(Mutex& mu) PAX_EXCLUDES(mu) : mu_(mu) {}
+  ~RankedTryLock() PAX_RELEASE() {
+    if (owned_) mu_.unlock();
+  }
+
+  [[nodiscard]] bool try_lock() PAX_TRY_ACQUIRE(true) {
+    owned_ = mu_.try_lock();
+    return owned_;
+  }
+
+  RankedTryLock(const RankedTryLock&) = delete;
+  RankedTryLock& operator=(const RankedTryLock&) = delete;
+
+ private:
+  Mutex& mu_;
+  bool owned_ = false;
 };
 
 /// Annotated condition-wait guard (std::unique_lock equivalent): exposes

@@ -965,11 +965,19 @@ void ExecutiveCore::setup_identity(Run& cur, Run& succ) {
   // computation queue of the current phase description."
   // Live current descriptors partition the un-completed granules; each gets
   // a tracking successor piece on its conflict queue. Index iteration over a
-  // snapshot length: make_desc appends to succ.live, never to cur.live.
+  // snapshot length: make_desc appends to succ.live, never to cur.live. A
+  // range parked for retry (kHeld in retry_queue_) is un-completed too: its
+  // retry's completion is what must release the piece.
+  auto parked_for_retry = [this](const Descriptor* d) {
+    return std::any_of(retry_queue_.begin(), retry_queue_.end(),
+                       [d](const RetryEntry& e) { return e.desc == d; });
+  };
   const std::size_t n_live = cur.live.size();
   for (std::size_t i = 0; i < n_live; ++i) {
     Descriptor* L = cur.live[i];
-    if (L->state != DescState::kWaiting && L->state != DescState::kAssigned) continue;
+    if (L->state != DescState::kWaiting && L->state != DescState::kAssigned &&
+        !parked_for_retry(L))
+      continue;
     Descriptor& piece = make_desc(succ, L->range, Priority::kNormal);
     piece.tracks_owner = true;
     piece.state = DescState::kConflicted;

@@ -103,8 +103,11 @@ class PhaseProgram {
   [[nodiscard]] std::size_t phase_count() const { return phases_.size(); }
   [[nodiscard]] PhaseId phase_by_name(const std::string& name) const;
 
-  std::uint32_t add(ProgramNode node) {
-    nodes_.push_back(std::move(node));
+  /// Append one node (a DispatchNode, SerialNode, BranchNode or HaltNode),
+  /// constructed in place as that alternative.
+  template <class Node>
+  std::uint32_t add(Node node) {
+    nodes_.emplace_back(std::in_place_type<Node>, std::move(node));
     return static_cast<std::uint32_t>(nodes_.size() - 1);
   }
 
@@ -123,7 +126,7 @@ class PhaseProgram {
     return add(BranchNode{std::move(name), std::move(selector), std::move(targets),
                           phase_independent});
   }
-  std::uint32_t halt();  // out of line: avoids a GCC-12 variant false positive
+  std::uint32_t halt() { return add(HaltNode{}); }
 
   [[nodiscard]] const ProgramNode& node(std::uint32_t i) const {
     PAX_CHECK(i < nodes_.size());

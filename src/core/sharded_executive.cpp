@@ -28,14 +28,19 @@ std::uint64_t now_ns() {
 /// Constructed BEFORE the mutex is taken: the span covers acquisition wait
 /// plus hold, i.e. the serialization a worker actually experiences at the
 /// control plane — the quantity sharding exists to remove (a pure-hold
-/// measure would credit neither queueing nor cache bouncing).
+/// measure would credit neither queueing nor cache bouncing). A refused
+/// try-lock dismisses the timer and counts as control_busy instead.
 class ControlTimer {
  public:
-  explicit ControlTimer(ShardStats& stats) : stats_(stats), t0_(now_ns()) {
-    stats_.control_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  }
+  explicit ControlTimer(ShardStats& stats) : stats_(stats), t0_(now_ns()) {}
   ~ControlTimer() {
+    if (dismissed_) return;
+    stats_.control_acquisitions.fetch_add(1, std::memory_order_relaxed);
     stats_.control_hold_ns.fetch_add(now_ns() - t0_, std::memory_order_relaxed);
+  }
+  void dismiss() {
+    dismissed_ = true;
+    stats_.control_busy.fetch_add(1, std::memory_order_relaxed);
   }
   ControlTimer(const ControlTimer&) = delete;
   ControlTimer& operator=(const ControlTimer&) = delete;
@@ -43,6 +48,7 @@ class ControlTimer {
  private:
   ShardStats& stats_;
   std::uint64_t t0_;
+  bool dismissed_ = false;
 };
 
 /// Same span discipline for the mutex engine's warm-path shard sections
@@ -440,48 +446,73 @@ ShardAcquire ShardedExecutive::acquire_lockfree(WorkerId w, std::size_t max_n,
   const bool elevated_pending =
       core_elevated_.load(std::memory_order_relaxed) > 0;
 
-  if (max_n > 0 && !overflow && !flush_due && !elevated_pending) {
-    res.taken = pop_from(home, max_n, out);
-    if (res.taken > 0) {
-      stats_.shard_hits.fetch_add(1, std::memory_order_relaxed);
-      return res;
-    }
-    for (std::uint32_t i = 1; i < nshards_; ++i) {
-      Shard& sib = *shards_[(home_of(w) + i) % nshards_];
-      const std::uint32_t hint = sib.ready_n.load(std::memory_order_relaxed);
-      if (hint == 0) continue;
-      // Steal-style bite: at most half the sibling's buffer (rounded up) —
-      // same rundown fat-tail rationale as the mutex engine. The hint is a
-      // moment stale, which only changes the bite size, never correctness.
-      const std::size_t bite =
-          std::min(max_n, (static_cast<std::size_t>(hint) + 1) / 2);
-      res.taken = pop_from(sib, bite, out);
-      if (res.taken > 0) {
-        stats_.sibling_hits.fetch_add(1, std::memory_order_relaxed);
-        return res;
-      }
-    }
-  }
+  if (max_n > 0 && !overflow && !flush_due && !elevated_pending &&
+      probe_rings(w, max_n, out, res))
+    return res;
 
   // Every ring dry (or an overflow/flush/elevation forces it): the control
   // plane. The spill term keeps parked overflow work reachable — it is
   // counted in ready_, so sleep predicates stay true, and this is the path
   // that serves it. Skip when the plane has nothing for us, so rundown
   // probing stays off the control mutex.
-  if (overflow || deposited_.load(std::memory_order_relaxed) > 0 ||
-      core_waiting_.load(std::memory_order_relaxed) > 0 ||
-      spill_n_.load(std::memory_order_relaxed) > 0) {
+  if (!overflow && deposited_.load(std::memory_order_relaxed) == 0 &&
+      core_waiting_.load(std::memory_order_relaxed) == 0 &&
+      spill_n_.load(std::memory_order_relaxed) == 0)
+    return res;
+  if (overflow) {
+    // Refused deposits must retire in this call (`done` is consumed on
+    // return), so this is the one lock-free entry that waits its turn.
     {
       ControlTimer timer(stats_);
       RankedLock lock(control_mu_);
-      sweep_locked(res, w, max_n, out, overflow ? &done : nullptr);
+      sweep_locked(res, w, max_n, out, &done);
     }
-    // Emitted after the section ends so the record's clock read never lands
-    // inside the timed hold span (the t11 overhead gate).
-    trace_event(w, obs::TraceKind::kShardSweep,
-                static_cast<std::uint32_t>(res.retired));
+  } else {
+    // A sweep in flight drains every deposit ring and scatters for every
+    // shard, so queueing behind it buys nothing. Liveness: this worker's
+    // deposits are already in a ring, so deposited_ > 0 keeps
+    // work_available() true and it cannot sleep past them — the next
+    // acquire retires them.
+    ControlTimer timer(stats_);
+    RankedTryLock lock(control_mu_);
+    if (!lock.try_lock()) {
+      timer.dismiss();
+      if (max_n > 0) (void)probe_rings(w, max_n, out, res);
+      return res;
+    }
+    sweep_locked(res, w, max_n, out, nullptr);
   }
+  // Emitted after the section ends so the record's clock read never lands
+  // inside the timed hold span (the t11 overhead gate).
+  trace_event(w, obs::TraceKind::kShardSweep,
+              static_cast<std::uint32_t>(res.retired));
   return res;
+}
+
+bool ShardedExecutive::probe_rings(WorkerId w, std::size_t max_n,
+                                   std::vector<Assignment>& out,
+                                   ShardAcquire& res) {
+  res.taken = pop_from(*shards_[home_of(w)], max_n, out);
+  if (res.taken > 0) {
+    stats_.shard_hits.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  for (std::uint32_t i = 1; i < nshards_; ++i) {
+    Shard& sib = *shards_[(home_of(w) + i) % nshards_];
+    const std::uint32_t hint = sib.ready_n.load(std::memory_order_relaxed);
+    if (hint == 0) continue;
+    // Steal-style bite: at most half the sibling's buffer (rounded up) —
+    // same rundown fat-tail rationale as the mutex engine. The hint is a
+    // moment stale, which only changes the bite size, never correctness.
+    const std::size_t bite =
+        std::min(max_n, (static_cast<std::size_t>(hint) + 1) / 2);
+    res.taken = pop_from(sib, bite, out);
+    if (res.taken > 0) {
+      stats_.sibling_hits.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+  }
+  return false;
 }
 
 ShardAcquire ShardedExecutive::acquire(WorkerId w, std::size_t max_n,
@@ -745,6 +776,7 @@ ShardStatsView ShardedExecutive::stats() const {
   ShardStatsView v;
   v.control_acquisitions = stats_.control_acquisitions.load(std::memory_order_relaxed);
   v.control_hold_ns = stats_.control_hold_ns.load(std::memory_order_relaxed);
+  v.control_busy = stats_.control_busy.load(std::memory_order_relaxed);
   v.sweeps = stats_.sweeps.load(std::memory_order_relaxed);
   v.shard_hits = stats_.shard_hits.load(std::memory_order_relaxed);
   v.sibling_hits = stats_.sibling_hits.load(std::memory_order_relaxed);

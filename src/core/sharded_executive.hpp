@@ -22,7 +22,10 @@
 //     collects every shard's deposited tickets, retires them in a single
 //     complete_batch (so indirect enablements produced by tickets from
 //     different shards coalesce into maximal ranges and are flushed ONCE),
-//     then re-scatters carved assignments across the shard buffers;
+//     then re-scatters carved assignments across the shard buffers. Under
+//     the lock-free engine sweep entry is a try-lock: a worker that finds a
+//     sweep in flight re-probes the rings and returns instead of queueing,
+//     because the sweep in flight scatters for every shard;
 //   * a small atomic census (ready / deposited / core-waiting / elevated /
 //     idle-work / finished) keeps runnable() / work_available() probes
 //     lock-free for the pool's cross-job pick and the runtimes' sleep
@@ -152,6 +155,10 @@ struct ShardAcquire {
 struct ShardStats {
   std::atomic<std::uint64_t> control_acquisitions{0};  ///< control-mutex sections
   std::atomic<std::uint64_t> control_hold_ns{0};       ///< time inside them
+  /// Sweep entries skipped because another section held the control mutex
+  /// (lock-free engine, shards > 1): the worker went back to the rings
+  /// instead of queueing behind the sweep in flight.
+  std::atomic<std::uint64_t> control_busy{0};
   std::atomic<std::uint64_t> sweeps{0};          ///< sections that swept deposits
   std::atomic<std::uint64_t> shard_hits{0};      ///< acquires served by home shard
   std::atomic<std::uint64_t> sibling_hits{0};    ///< ... by a sibling shard
@@ -174,6 +181,7 @@ struct ShardStats {
 struct ShardStatsView {
   std::uint64_t control_acquisitions = 0;
   std::uint64_t control_hold_ns = 0;
+  std::uint64_t control_busy = 0;
   std::uint64_t sweeps = 0;
   std::uint64_t shard_hits = 0;
   std::uint64_t sibling_hits = 0;
@@ -212,7 +220,11 @@ class ShardedExecutive {
   ///      elevated release is pending, or a ring push overflowed: one control
   ///      sweep — retire ALL shards' deposits (plus any overflowed tickets)
   ///      in one coalesced complete_batch, pull for the caller, re-scatter
-  ///      the shard buffers.
+  ///      the shard buffers. Lock-free engine: when another section holds
+  ///      the control mutex the caller re-probes the rings and returns
+  ///      (counted as control_busy) — its deposits are already in a ring, so
+  ///      work_available() stays true until a sweep retires them. Only a
+  ///      deposit overflow (tickets that must retire in this call) waits.
   /// Returns what happened; `out` is appended in handout order.
   ShardAcquire acquire(WorkerId w, std::size_t max_n, std::vector<Ticket>& done,
                        std::vector<Assignment>& out) PAX_EXCLUDES(control_mu_);
@@ -384,6 +396,10 @@ class ShardedExecutive {
   /// Lock-free engine: pop up to max_n from one shard's ready ring. Returns
   /// 0 without touching the ring when the occupancy hint reads empty.
   std::size_t pop_from(Shard& s, std::size_t max_n, std::vector<Assignment>& out);
+  /// Lock-free engine: serve `res` from the home ring, else a steal-style
+  /// bite of the first sibling ring that answers. False when all were dry.
+  bool probe_rings(WorkerId w, std::size_t max_n, std::vector<Assignment>& out,
+                   ShardAcquire& res);
   /// Lock-free engine warm+slow protocol (nshards_ > 1).
   ShardAcquire acquire_lockfree(WorkerId w, std::size_t max_n,
                                 std::vector<Ticket>& done,

@@ -275,6 +275,7 @@ struct PoolCtl {
   std::uint64_t lock_acquisitions PAX_GUARDED_BY(mu) = 0;
   std::uint64_t exec_control_acquisitions PAX_GUARDED_BY(mu) = 0;
   std::uint64_t exec_lock_hold_ns PAX_GUARDED_BY(mu) = 0;
+  std::uint64_t exec_control_busy PAX_GUARDED_BY(mu) = 0;  ///< metrics only
   std::uint64_t shard_hits PAX_GUARDED_BY(mu) = 0;
   std::uint64_t shard_ring_pops PAX_GUARDED_BY(mu) = 0;
   std::uint64_t shard_ring_pop_empty PAX_GUARDED_BY(mu) = 0;

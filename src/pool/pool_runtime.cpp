@@ -17,10 +17,6 @@ PoolRuntime::PoolRuntime(PoolConfig config)
       ctl_(std::make_shared<detail::PoolCtl>()) {
   PAX_CHECK_MSG(config_.workers > 0, "pool needs at least one worker");
   PAX_CHECK_MSG(config_.batch > 0, "pool batch must be at least 1");
-  // Fail at construction, not inside the first submit()'s Dispatcher.
-  PAX_CHECK_MSG(config_.queue_capacity == 0 ||
-                    config_.queue_capacity >= config_.batch,
-                "local queue capacity below the retire batch");
   PAX_CHECK_MSG(config_.shards != 0,
                 "shards must be at least 1 (pass kAutoShards for the default)");
   {
@@ -216,6 +212,7 @@ PoolStats PoolRuntime::stats() const {
   s.metrics.push("fault.watchdog_flags", ctl_->watchdog_flags);
   s.metrics.push("exec.control_acquisitions", ctl_->exec_control_acquisitions);
   s.metrics.push("exec.control_hold_ns", ctl_->exec_lock_hold_ns);
+  s.metrics.push("exec.control_busy", ctl_->exec_control_busy);
   s.metrics.push("shard.hits", ctl_->shard_hits);
   s.metrics.push("shard.ring.pop", ctl_->shard_ring_pops);
   s.metrics.push("shard.ring.pop_empty", ctl_->shard_ring_pop_empty);
@@ -479,6 +476,7 @@ void PoolRuntime::worker_main(WorkerId id) {
           if (fin_watchdog) ++ctl_->watchdog_flags;
           ctl_->exec_control_acquisitions += ss.control_acquisitions;
           ctl_->exec_lock_hold_ns += ss.control_hold_ns;
+          ctl_->exec_control_busy += ss.control_busy;
           ctl_->shard_hits += ss.shard_hits + ss.sibling_hits;
           ctl_->shard_ring_pops += ss.ring_pops;
           ctl_->shard_ring_pop_empty += ss.ring_pop_empty;

@@ -43,12 +43,10 @@ struct PoolConfig {
   std::uint32_t workers = 4;
   /// Refill floor and the no-steal local-queue capacity, per resident job;
   /// with stealing on, one job-executive critical section may retire/pull
-  /// up to the queue capacity (2x batch by default).
-  std::uint32_t batch = 8;
+  /// up to the local queue capacity of 2x batch. Same default as
+  /// RtConfig::batch (sched::kDefaultBatch).
+  std::uint32_t batch = sched::kDefaultBatch;
   SchedPolicy policy = SchedPolicy::kFifo;
-  /// Per-worker local run-queue capacity per job; 0 = auto (2x batch with
-  /// stealing, exactly batch without — the PR 2 protocol).
-  std::uint32_t queue_capacity = 0;
   /// Executive shards per job (independently-locked granule-handout
   /// partitions; see core/sharded_executive.hpp). kAutoShards = 2x workers
   /// clamped per job; 1 = the PR 3 per-job single-mutex protocol; 0 is
@@ -151,7 +149,6 @@ class PoolRuntime {
   [[nodiscard]] sched::DispatchConfig dispatch_config() const {
     return {.workers = config_.workers,
             .batch = config_.batch,
-            .queue_capacity = config_.queue_capacity,
             .steal = config_.steal,
             .adaptive_grain = config_.adaptive_grain,
             .trace = config_.trace};

@@ -61,7 +61,6 @@ ThreadedRuntime::ThreadedRuntime(const PhaseProgram& program, ExecConfig config,
                         .trace = rt_config_.trace}),
       dispatcher_(sched::DispatchConfig{.workers = rt_config_.workers,
                                         .batch = rt_config_.batch,
-                                        .queue_capacity = rt_config_.queue_capacity,
                                         .steal = rt_config_.steal,
                                         .adaptive_grain = rt_config_.adaptive_grain,
                                         .trace = rt_config_.trace}),
@@ -326,6 +325,7 @@ RtResult ThreadedRuntime::run() {
   res.metrics = metrics_.snapshot();
   res.metrics.push("exec.control_acquisitions", ss.control_acquisitions);
   res.metrics.push("exec.control_hold_ns", ss.control_hold_ns);
+  res.metrics.push("exec.control_busy", ss.control_busy);
   res.metrics.push("shard.hits", ss.shard_hits);
   res.metrics.push("shard.sibling_hits", ss.sibling_hits);
   res.metrics.push("shard.scattered", ss.scattered);

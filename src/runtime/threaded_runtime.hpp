@@ -56,14 +56,11 @@ namespace pax::rt {
 struct RtConfig {
   std::uint32_t workers = 4;
   /// Refill floor and the no-steal queue capacity; with stealing on, one
-  /// critical section may retire/pull up to the queue capacity (2x batch by
-  /// default — over-refill absorbed by steals). batch 1 with steal off =
-  /// the classic single-item handoff.
-  std::uint32_t batch = 1;
-  /// Per-worker local run-queue capacity; 0 = auto (2x batch with stealing —
-  /// over-refill absorbed by steals — or exactly batch without, which
-  /// reproduces the PR 1 batched protocol).
-  std::uint32_t queue_capacity = 0;
+  /// critical section may retire/pull up to the local queue capacity of 2x
+  /// batch (over-refill absorbed by steals). Defaults to the pool's value
+  /// (sched::kDefaultBatch). batch 1 with steal off = the classic
+  /// single-item handoff.
+  std::uint32_t batch = sched::kDefaultBatch;
   /// Executive shards (independently-locked granule-handout partitions).
   /// kAutoShards = 2x workers clamped to the largest phase (1 for a single
   /// worker); 1 = the PR 3 single-mutex protocol; 0 is invalid and fails at

@@ -15,8 +15,6 @@ Dispatcher::Dispatcher(DispatchConfig config)
       window_size_(std::max<std::uint64_t>(16, 4ull * config.workers)) {
   PAX_CHECK_MSG(config_.workers > 0, "need at least one worker");
   PAX_CHECK_MSG(config_.batch > 0, "batch must be at least 1");
-  PAX_CHECK_MSG(capacity_ >= config_.batch,
-                "local queue capacity below the retire batch");
   queues_.reserve(config_.workers);
   for (std::uint32_t w = 0; w < config_.workers; ++w) {
     queues_.push_back(std::make_unique<LocalRunQueue>(capacity_));

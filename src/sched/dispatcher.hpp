@@ -21,10 +21,10 @@
 //     while steady state stays coarse.
 //
 // With stealing enabled the local queue lets a worker over-refill beyond the
-// retire batch (capacity defaults to 2x batch): fat refills are safe because
-// peers steal the excess back during the tail — the over-decomposition-
-// absorbed-by-local-scheduling move of the virtual-processors SPMD line.
-// With stealing disabled the capacity defaults to exactly `batch`, which
+// retire batch (capacity 2x batch): fat refills are safe because peers steal
+// the excess back during the tail — the over-decomposition-absorbed-by-
+// local-scheduling move of the virtual-processors SPMD line. With stealing
+// disabled the capacity is exactly `batch`, which
 // reproduces the PR 1 batched protocol on the same machinery (how bench_t8
 // baselines the layer).
 //
@@ -49,15 +49,17 @@
 
 namespace pax::sched {
 
+/// The retire/refill batch both runtimes ship with (RtConfig::batch,
+/// PoolConfig::batch), defined once so their defaults cannot drift apart.
+/// With auto shards it also sizes each shard's ring depth (batch) and the
+/// deposit flush threshold (2x batch) — DESIGN.md §6 says why 8.
+inline constexpr std::uint32_t kDefaultBatch = 8;
+
 struct DispatchConfig {
   std::uint32_t workers = 4;
   /// Finished tickets retired per executive critical section (and the refill
   /// floor — see effective_capacity()).
-  std::uint32_t batch = 1;
-  /// Per-worker local run-queue slots. 0 = auto: 2x batch with stealing
-  /// (over-refill absorbed by steals), exactly batch without (the PR 1
-  /// batched protocol).
-  std::uint32_t queue_capacity = 0;
+  std::uint32_t batch = kDefaultBatch;
   /// Rundown work stealing between peer local queues.
   bool steal = true;
   /// Steal-rate signal halves the effective grain during rundown.
@@ -70,8 +72,9 @@ struct DispatchConfig {
   /// Job lane tag on emitted records (the pool sets its job id here).
   std::uint64_t trace_job = obs::kNoTraceJob;
 
+  /// Per-worker local run-queue slots: 2x batch with stealing (over-refill
+  /// absorbed by steals), exactly batch without (the plain batched protocol).
   [[nodiscard]] std::size_t effective_capacity() const {
-    if (queue_capacity != 0) return queue_capacity;
     return steal ? std::size_t{2} * batch : std::size_t{batch};
   }
 };

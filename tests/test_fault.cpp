@@ -10,8 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "pool/pool_runtime.hpp"
 #include "runtime/threaded_runtime.hpp"
@@ -170,6 +172,55 @@ TEST_P(FaultEngine, MapFnThrowDegradesEdgeAndCompletes) {
   EXPECT_EQ(res.map_faults, 1u);
   EXPECT_EQ(res.granule_faults, 0u);
   EXPECT_NE(res.fault_summary.find("map callback exploded"), std::string::npos);
+}
+
+TEST(FaultRetry, IdentityEdgeSetUpWhileARangeIsParkedForRetryStillEnablesIt) {
+  // a -> b -> c, both identity. b0 faults while a is still running, so it is
+  // parked for retry when a's completion sets up the b -> c edge. The parked
+  // range must still get its tracking successor piece: otherwise c0 is never
+  // enabled and the program stalls with no work and no outstanding ticket.
+  PhaseProgram prog;
+  const PhaseId a = prog.define_phase(make_phase("a", 2).writes("X"));
+  const PhaseId b = prog.define_phase(make_phase("b", 2).reads("X").writes("Y"));
+  const PhaseId c = prog.define_phase(make_phase("c", 2).reads("Y").writes("Z"));
+  prog.dispatch(a, {EnableClause{"b", MappingKind::kIdentity, {}}});
+  prog.dispatch(b, {EnableClause{"c", MappingKind::kIdentity, {}}});
+  prog.dispatch(c);
+  prog.halt();
+  ExecConfig cfg;
+  cfg.grain = 1;
+  cfg.retry_backoff_ticks = 0;
+  ExecutiveCore core(prog, cfg, CostModel::free_of_charge());
+  core.start();
+
+  const std::optional<Assignment> a0 = core.request_work(0);
+  const std::optional<Assignment> a1 = core.request_work(0);
+  ASSERT_TRUE(a0 && a1);
+  ASSERT_EQ(a0->phase, a);
+  (void)core.complete(a0->ticket);  // enables b0
+  const std::optional<Assignment> b0 = core.request_work(0);
+  ASSERT_TRUE(b0);
+  ASSERT_EQ(b0->phase, b);
+  GranuleFault f;
+  f.ticket = b0->ticket;
+  f.phase = b0->phase;
+  f.range = b0->range;
+  f.set_what("injected");
+  (void)core.fail(f);               // b0 parked for retry
+  (void)core.complete(a1->ticket);  // a completes: b -> c set up, b0 re-enqueued
+
+  std::vector<GranuleId> executed(3, 0);
+  executed[a] = 2;
+  for (int step = 0; step < 64 && !core.finished(); ++step) {
+    const std::optional<Assignment> next = core.request_work(0);
+    if (!next) break;
+    executed[next->phase] += next->range.size();
+    (void)core.complete(next->ticket);
+  }
+  EXPECT_TRUE(core.finished()) << "stalled: c0 was never enabled";
+  EXPECT_EQ(executed[b], 2u);
+  EXPECT_EQ(executed[c], 2u);
+  EXPECT_EQ(core.fault_stats().retries, 1u);
 }
 
 // --- pool degradation: kFailed, sibling isolation, wait semantics -----------

@@ -16,7 +16,9 @@
 //      rewrite is also checked against the happens-before model.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
+#include <thread>
 
 #include "common/lock_rank.hpp"
 #include "testing_util.hpp"
@@ -188,6 +190,105 @@ TEST(RankedMutex, SameRankGuardWithTagIsClean) {
   if (lock_rank::kChecksEnabled) {
     EXPECT_EQ(held(LockRank::kShard), 2u);
   }
+}
+
+// --- try_lock (the non-blocking sweep entry) ----------------------------------
+
+/// Holds `mu` on a second thread from construction until destruction, so the
+/// calling thread's try_lock is refused without touching its own census.
+class HeldElsewhere {
+ public:
+  explicit HeldElsewhere(RankedMutex<LockRank::kControl>& mu)
+      : holder_([this, &mu] {
+          RankedLock lock(mu);
+          locked_.store(true);
+          while (!release_.load()) std::this_thread::yield();
+        }) {
+    while (!locked_.load()) std::this_thread::yield();
+  }
+  ~HeldElsewhere() {
+    release_.store(true);
+    holder_.join();
+  }
+  HeldElsewhere(const HeldElsewhere&) = delete;
+  HeldElsewhere& operator=(const HeldElsewhere&) = delete;
+
+ private:
+  std::atomic<bool> locked_{false};
+  std::atomic<bool> release_{false};
+  std::thread holder_;
+};
+
+// Each try_lock() is branched on directly, so Clang TSA (the lint job) sees
+// which arm holds the mutex.
+TEST(RankedMutexTryLock, SuccessEntersTheCensus) {
+  RankedMutex<LockRank::kControl> mu;
+  if (mu.try_lock()) {
+    EXPECT_EQ(held(LockRank::kControl), lock_rank::kChecksEnabled ? 1u : 0u);
+    mu.unlock();
+  } else {
+    ADD_FAILURE() << "try_lock refused an uncontended mutex";
+  }
+  EXPECT_EQ(held(LockRank::kControl), 0u);
+}
+
+TEST(RankedMutexTryLock, FailureLeavesTheCensusUntouched) {
+  RankedMutex<LockRank::kControl> control;
+  RankedMutex<LockRank::kSleep> sleep_mu;
+  const HeldElsewhere other(control);
+  EXPECT_FALSE(control.try_lock());
+  EXPECT_EQ(held(LockRank::kControl), 0u);
+  // A refused try is never a rank violation, even out of order: nothing
+  // was acquired, so nothing entered the census.
+  RankedLock outer(sleep_mu);
+  EXPECT_FALSE(control.try_lock());
+  EXPECT_EQ(held(LockRank::kControl), 0u);
+  EXPECT_EQ(held(LockRank::kSleep), lock_rank::kChecksEnabled ? 1u : 0u);
+}
+
+TEST(RankedMutexTryLock, GuardReleasesOnlyWhatItAcquired) {
+  RankedMutex<LockRank::kControl> mu;
+  {
+    RankedTryLock lock(mu);
+    if (lock.try_lock()) {
+      EXPECT_EQ(held(LockRank::kControl), lock_rank::kChecksEnabled ? 1u : 0u);
+    } else {
+      ADD_FAILURE() << "try_lock refused an uncontended mutex";
+    }
+  }
+  EXPECT_EQ(held(LockRank::kControl), 0u);
+  {
+    const HeldElsewhere other(mu);
+    RankedTryLock lock(mu);
+    EXPECT_FALSE(lock.try_lock());
+  }  // the refused guard must not unlock the other thread's hold
+  EXPECT_EQ(held(LockRank::kControl), 0u);
+  // Released exactly once: a blocking lock would hang on a leaked hold.
+  RankedLock relock(mu);
+}
+
+TEST(RankedMutexTryLockDeathTest, SuccessfulOutOfRankTryAbortsWhenChecked) {
+  if (!lock_rank::kChecksEnabled) {
+    // Release build: the try succeeds with no validator call.
+    RankedMutex<LockRank::kSleep> sleep_mu;
+    RankedMutex<LockRank::kControl> control_mu;
+    RankedLock outer(sleep_mu);
+    if (control_mu.try_lock()) {
+      control_mu.unlock();
+    } else {
+      ADD_FAILURE() << "try_lock refused an uncontended mutex";
+    }
+    return;
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        RankedMutex<LockRank::kSleep> sleep_mu;
+        RankedMutex<LockRank::kControl> control_mu;
+        RankedLock outer(sleep_mu);
+        if (control_mu.try_lock()) control_mu.unlock();
+      },
+      "lock-rank violation.*'control'.*'sleep'");
 }
 
 // --- the real lock graph under load (runs in the TSAN CI matrix) -------------

@@ -282,8 +282,10 @@ std::vector<int> run_three_jobs_under(SchedPolicy policy) {
   SinglePhase jobs_prog[3] = {make_single_phase(4), make_single_phase(4),
                               make_single_phase(4)};
   std::atomic<bool> gate{false};
+  std::atomic<bool> entered{false};
   rt::BodyTable gate_bodies;
-  gate_bodies.set(gate_prog.p, [&gate](GranuleRange, WorkerId) {
+  gate_bodies.set(gate_prog.p, [&gate, &entered](GranuleRange, WorkerId) {
+    entered.store(true, std::memory_order_release);
     while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
   });
 
@@ -299,6 +301,10 @@ std::vector<int> run_three_jobs_under(SchedPolicy policy) {
   PoolRuntime pool({.workers = 1, .batch = 4, .policy = policy});
   ExecConfig cfg;
   JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg);
+  // The only worker must be pinned inside the gate body before the jobs
+  // arrive; a worker still on its way there would rank the gate job against
+  // them.
+  while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
   // Priorities: job0 low, job1 high, job2 mid — submission order 0,1,2.
   const int prio[3] = {1, 9, 5};
   JobHandle handles[3];
@@ -460,9 +466,11 @@ void run_mid_run_cancel(bool lockfree) {
   constexpr GranuleId kN = 64;
   SinglePhase s = make_single_phase(kN);
   std::atomic<bool> gate{false};
+  std::atomic<bool> entered{false};
   std::atomic<std::uint64_t> executed{0};
   rt::BodyTable bodies;
   bodies.set(s.p, [&](GranuleRange r, WorkerId) {
+    entered.store(true, std::memory_order_release);
     while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
     executed.fetch_add(r.size(), std::memory_order_relaxed);
   });
@@ -472,10 +480,12 @@ void run_mid_run_cancel(bool lockfree) {
   cfg.grain = 1;  // one granule per assignment: fine-grained recall coverage
   JobHandle h = pool.submit(s.prog, bodies, cfg);
 
-  // Both workers are now (or will shortly be) parked inside bodies with
-  // granules resident in their local queues and the bulk still sharded in
-  // the executive.
+  // Wait until a body holds a ticket: kRunning alone can be observed before
+  // any worker refilled, and a cancel there would leave nothing in flight.
+  // Workers are then parked inside bodies with granules resident in their
+  // local queues and the bulk still sharded in the executive.
   while (h.state() != JobState::kRunning) std::this_thread::yield();
+  while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
   EXPECT_TRUE(h.cancel());
   EXPECT_FALSE(h.cancel());  // the mid-run cancel is won exactly once
   EXPECT_FALSE(h.done());    // still draining: terminal comes from a worker
@@ -638,8 +648,10 @@ TEST(PoolDeadline, EdfOrdersRotationsByDeadline) {
   SinglePhase jobs_prog[3] = {make_single_phase(4), make_single_phase(4),
                               make_single_phase(4)};
   std::atomic<bool> gate{false};
+  std::atomic<bool> entered{false};
   rt::BodyTable gate_bodies;
-  gate_bodies.set(gate_prog.p, [&gate](GranuleRange, WorkerId) {
+  gate_bodies.set(gate_prog.p, [&gate, &entered](GranuleRange, WorkerId) {
+    entered.store(true, std::memory_order_release);
     while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
   });
 
@@ -657,6 +669,9 @@ TEST(PoolDeadline, EdfOrdersRotationsByDeadline) {
                     .policy = SchedPolicy::kDeadline});
   ExecConfig cfg;
   JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg);
+  // Pin the only worker inside the gate body before the jobs arrive (see
+  // run_three_jobs_under).
+  while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
   const std::chrono::seconds deadlines[3] = {std::chrono::seconds{200},
                                              std::chrono::seconds{300},
                                              std::chrono::seconds{100}};

@@ -353,69 +353,106 @@ TEST(RtBatchedHandoff, FewerLockAcquisitionsSameWork) {
 
 // --- dynamic conflicting submission on real threads --------------------------
 
+/// Phase a runs with phase b's root already queued behind it (universal
+/// mapping). Mid-run, a body dynamically submits phase-c work conflicting
+/// with a's run; c is released at elevated priority when a's run completes.
+/// Runs on one worker with `batch`, `n` granules in a and in b.
+struct ElevatedReleaseRun {
+  static constexpr GranuleId kM = 16;  ///< granules of c
+  static constexpr GranuleId kGrain = 8;
+  GranuleId n;  ///< granules of a and of b
+  HappensBeforeRecorder rec;
+  RtResult res;
+
+  ElevatedReleaseRun(std::uint32_t batch, GranuleId granules)
+      : n(granules), rec(3, granules) {
+    PhaseProgram prog;
+    PhaseId a = prog.define_phase(make_phase("a", n).writes("X"));
+    PhaseId b = prog.define_phase(make_phase("b", n).reads("X").writes("Y"));
+    PhaseId c = prog.define_phase(make_phase("c", kM).reads("X").writes("Z"));
+    prog.dispatch(a, {EnableClause{"b", MappingKind::kUniversal, {}}});
+    prog.dispatch(b);
+    prog.halt();
+
+    ThreadedRuntime* rt_ptr = nullptr;
+    std::atomic<bool> submitted{false};
+    BodyTable bodies;
+    bodies.set(a, [&](GranuleRange r, WorkerId) {
+      if (!submitted.exchange(true)) {
+        // Bodies run with the executive lock released, so submitting from
+        // here is legal; a's run id is 0 (first run created).
+        rt_ptr->submit_conflicting(/*blocker=*/0, c, {0, kM});
+      }
+      record(0, r);
+    });
+    bodies.set(b, [&](GranuleRange r, WorkerId) { record(1, r); });
+    bodies.set(c, [&](GranuleRange r, WorkerId) { record(2, r); });
+
+    ExecConfig cfg;
+    cfg.grain = kGrain;
+    ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies,
+                            RtConfig{.workers = 1, .batch = batch});
+    rt_ptr = &runtime;
+    res = runtime.run();
+  }
+
+  void record(PhaseId phase, GranuleRange r) {
+    for (GranuleId g = r.lo; g < r.hi; ++g) {
+      rec.on_start(phase, g);
+      rec.on_finish(phase, g);
+    }
+  }
+
+  [[nodiscard]] std::uint64_t last_finish(PhaseId phase, GranuleId count) const {
+    std::uint64_t last = 0;
+    for (GranuleId g = 0; g < count; ++g)
+      last = std::max(last, rec.finish_ticket(phase, g));
+    return last;
+  }
+};
+
 TEST(RtSubmitConflicting, ElevatedReleaseOrderingEndToEnd) {
-  // Phase a runs with phase b's root already queued behind it (universal
-  // mapping). Mid-run, a body dynamically submits phase-c work conflicting
-  // with a's run. The paper's contract, end-to-end on real threads:
+  // The paper's contract, end-to-end on real threads, with the strict
+  // single-item handoff (batch 1):
   //   1. no c granule starts before a's run fully completes, and
   //   2. released c work takes the elevated lane — with one worker it must
   //      run strictly before the normal-priority b work already waiting.
-  const GranuleId n = 64;
-  const GranuleId m = 16;
-  PhaseProgram prog;
-  PhaseId a = prog.define_phase(make_phase("a", n).writes("X"));
-  PhaseId b = prog.define_phase(make_phase("b", n).reads("X").writes("Y"));
-  PhaseId c = prog.define_phase(make_phase("c", m).reads("X").writes("Z"));
-  prog.dispatch(a, {EnableClause{"b", MappingKind::kUniversal, {}}});
-  prog.dispatch(b);
-  prog.halt();
+  const ElevatedReleaseRun run(/*batch=*/1, /*n=*/64);
+  EXPECT_EQ(run.res.granules_executed, 2u * run.n + ElevatedReleaseRun::kM);
 
-  HappensBeforeRecorder rec(3, n);
-  ThreadedRuntime* rt_ptr = nullptr;
-  std::atomic<bool> submitted{false};
-
-  BodyTable bodies;
-  bodies.set(a, [&](GranuleRange r, WorkerId) {
-    if (!submitted.exchange(true)) {
-      // Bodies run with the executive lock released, so submitting from
-      // here is legal; a's run id is 0 (first run created).
-      rt_ptr->submit_conflicting(/*blocker=*/0, c, {0, m});
-    }
-    for (GranuleId g = r.lo; g < r.hi; ++g) {
-      rec.on_start(0, g);
-      rec.on_finish(0, g);
-    }
-  });
-  bodies.set(b, [&](GranuleRange r, WorkerId) {
-    for (GranuleId g = r.lo; g < r.hi; ++g) {
-      rec.on_start(1, g);
-      rec.on_finish(1, g);
-    }
-  });
-  bodies.set(c, [&](GranuleRange r, WorkerId) {
-    for (GranuleId g = r.lo; g < r.hi; ++g) {
-      rec.on_start(2, g);
-      rec.on_finish(2, g);
-    }
-  });
-
-  ExecConfig cfg;
-  cfg.grain = 8;
-  ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, {1});
-  rt_ptr = &runtime;
-  const RtResult res = runtime.run();
-  EXPECT_EQ(res.granules_executed, 2u * n + m);
-
-  std::uint64_t last_a_finish = 0;
-  for (GranuleId g = 0; g < n; ++g)
-    last_a_finish = std::max(last_a_finish, rec.finish_ticket(0, g));
-  for (GranuleId g = 0; g < m; ++g) {
-    ASSERT_TRUE(rec.executed(2, g));
-    EXPECT_GT(rec.start_ticket(2, g), last_a_finish)
+  const std::uint64_t last_a_finish = run.last_finish(0, run.n);
+  for (GranuleId g = 0; g < ElevatedReleaseRun::kM; ++g) {
+    ASSERT_TRUE(run.rec.executed(2, g));
+    EXPECT_GT(run.rec.start_ticket(2, g), last_a_finish)
         << "conflicting granule " << g << " ran before its blocker completed";
-    EXPECT_LT(rec.finish_ticket(2, g), rec.start_ticket(1, 0))
+    EXPECT_LT(run.rec.finish_ticket(2, g), run.rec.start_ticket(1, 0))
         << "elevated release did not outrank queued normal work at " << g;
   }
+}
+
+TEST(RtSubmitConflicting, ElevatedReleaseBoundedByOneLocalQueueAtDefaultBatch) {
+  // At the shipped batch the release can land behind normal work already
+  // pulled into the worker's local queue, but never behind more than one
+  // queue's worth: 2x batch assignments of at most `grain` granules each.
+  // With a one assignment longer than a queue, a's last assignment shares
+  // its refill with 2x batch - 1 assignments of b: the worst case.
+  const std::uint32_t batch = RtConfig{}.batch;
+  const GranuleId queue_granules = 2 * batch * ElevatedReleaseRun::kGrain;
+  const ElevatedReleaseRun run(batch, queue_granules + ElevatedReleaseRun::kGrain);
+  EXPECT_EQ(run.res.granules_executed, 2u * run.n + ElevatedReleaseRun::kM);
+
+  const std::uint64_t last_a_finish = run.last_finish(0, run.n);
+  for (GranuleId g = 0; g < ElevatedReleaseRun::kM; ++g) {
+    ASSERT_TRUE(run.rec.executed(2, g));
+    EXPECT_GT(run.rec.start_ticket(2, g), last_a_finish)
+        << "conflicting granule " << g << " ran before its blocker completed";
+  }
+  const std::uint64_t last_c_finish = run.last_finish(2, ElevatedReleaseRun::kM);
+  std::uint64_t b_ahead = 0;
+  for (GranuleId g = 0; g < run.n; ++g)
+    if (run.rec.start_ticket(1, g) < last_c_finish) ++b_ahead;
+  EXPECT_LE(b_ahead, queue_granules)
+      << "more than one local queue of normal work ran ahead of the release";
 }
 
 TEST(RtSubmitConflicting, ImmediateWhenBlockerAlreadyComplete) {

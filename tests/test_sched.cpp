@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 
 #include "pool/pool_runtime.hpp"
@@ -116,7 +118,7 @@ TEST(Dispatcher, EmptyBatchRetireIsANoOp) {
   ExecutiveCore core(s.prog, cfg);
   core.start();
 
-  sched::Dispatcher d({/*workers=*/1, /*batch=*/8, 0, true, true});
+  sched::Dispatcher d({/*workers=*/1, /*batch=*/8, true, true});
   std::vector<Ticket> done;  // empty: nothing to retire on the first trip
   const sched::RefillOutcome first = d.refill(core, 0, done);
   EXPECT_EQ(first.refilled, 4u);
@@ -136,7 +138,7 @@ TEST(Dispatcher, RefillPreservesExecutiveHandoutOrder) {
   ExecutiveCore core(s.prog, cfg);
   core.start();
 
-  sched::Dispatcher d({1, 8, 0, true, false});
+  sched::Dispatcher d({1, 8, true, false});
   std::vector<Ticket> done;
   ASSERT_EQ(d.refill(core, 0, done).refilled, 3u);
   Assignment a;
@@ -155,7 +157,7 @@ TEST(Dispatcher, StealCoversRefillReturningZeroWhilePeersHoldWork) {
   ExecutiveCore core(s.prog, cfg);
   core.start();
 
-  sched::Dispatcher d({/*workers=*/2, /*batch=*/8, 0, true, true});
+  sched::Dispatcher d({/*workers=*/2, /*batch=*/8, true, true});
   std::vector<Ticket> done0, done1;
   // Worker 0 over-refills: the whole phase lands in its local queue.
   ASSERT_EQ(d.refill(core, 0, done0).refilled, 8u);
@@ -196,7 +198,7 @@ TEST(Dispatcher, StealRateSignalHalvesEffectiveGrain) {
   ExecutiveCore core(s.prog, cfg);
   core.start();
 
-  sched::Dispatcher d({2, 4, 0, true, true});  // window = 16 events
+  sched::Dispatcher d({2, 4, true, true});  // window = 16 events
   std::vector<Ticket> done;
   ASSERT_GT(d.refill(core, 0, done).refilled, 1u);
   EXPECT_EQ(core.effective_grain(), 16u);
@@ -391,6 +393,109 @@ TEST(ShardedExecutive, ElevatedReleaseOutranksBufferedNormalWork) {
   ex.check_census();
 }
 
+/// Holds the first structural event after arm() until open(). Sinks run
+/// under the control mutex, so a blocked sink holds a sweep open for as long
+/// as the test wants.
+class GateSink final : public ExecEventSink {
+ public:
+  void on_event(const ExecEvent&) override {
+    if (!armed_.exchange(false)) return;
+    entered_.store(true);
+    while (!open_.load()) std::this_thread::yield();
+  }
+  void arm() { armed_.store(true); }
+  void open() { open_.store(true); }
+  [[nodiscard]] bool entered() const { return entered_.load(); }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> open_{false};
+};
+
+TEST(ShardedExecutive, BusyControlPlaneSkipsTheSweepInsteadOfQueueing) {
+  // Worker 0's sweep is held open by the gate. Worker 1 deposits, finds the
+  // control mutex taken, and must come back without blocking (counted as
+  // control_busy); its deposits then retire in a later sweep, exactly once.
+  const GranuleId n = 16;
+  PhaseProgram prog;
+  const PhaseId a = prog.define_phase(make_phase("a", n).writes("X"));
+  const PhaseId b = prog.define_phase(make_phase("b", n).reads("X").writes("Y"));
+  prog.dispatch(a, {EnableClause{"b", MappingKind::kIdentity, {}}});
+  prog.dispatch(b);
+  prog.halt();
+  ExecConfig cfg;
+  cfg.grain = 1;
+  GateSink gate;
+  ShardedExecutive ex(prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 2, .workers = 2, .batch = 4});
+  ex.core_unsynchronized().set_event_sink(&gate);
+  ex.start();
+
+  // Hand out all of a; split its tickets between the two workers. Each half
+  // reaches the flush threshold (2x batch), so each deposit asks to sweep.
+  std::vector<Ticket> done0, done1;
+  std::vector<Assignment> handed;
+  std::size_t retired = 0;
+  while (true) {
+    std::vector<Assignment> buf;
+    const ShardAcquire r0 = ex.acquire(0, 4, done0, buf);
+    const ShardAcquire r1 = ex.acquire(1, 4, done1, buf);
+    retired += r0.retired + r1.retired;
+    handed.insert(handed.end(), buf.begin(), buf.end());
+    if (r0.taken + r1.taken == 0) break;
+  }
+  ASSERT_EQ(handed.size(), n);
+  for (std::size_t i = 0; i < handed.size(); ++i)
+    (i % 2 == 0 ? done0 : done1).push_back(handed[i].ticket);
+
+  gate.arm();
+  std::vector<Assignment> out0, out1;
+  auto sweeper = std::async(std::launch::async, [&] { return ex.acquire(0, 4, done0, out0); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (!gate.entered() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_TRUE(gate.entered()) << "worker 0's sweep never reached the sink";
+
+  auto skipper = std::async(std::launch::async, [&] { return ex.acquire(1, 4, done1, out1); });
+  const bool returned =
+      skipper.wait_for(std::chrono::seconds{10}) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "acquire() queued behind the sweep in flight";
+  gate.open();
+  const ShardAcquire skipped = skipper.get();
+  const ShardAcquire swept = sweeper.get();
+  EXPECT_FALSE(skipped.swept);
+  EXPECT_EQ(skipped.retired, 0u);
+  EXPECT_TRUE(done1.empty()) << "deposits must leave `done` even when the sweep is skipped";
+  EXPECT_EQ(ex.stats().control_busy, 1u);
+  EXPECT_TRUE(ex.work_available()) << "worker 1's deposits must keep the census live";
+  EXPECT_TRUE(swept.swept);
+  retired += swept.retired + skipped.retired;
+
+  // Drive the rest single-threaded: everything handed out is retired by the
+  // next acquire, until the program finishes.
+  std::vector<Ticket> pending;
+  for (const auto* out : {&out0, &out1}) {
+    handed.insert(handed.end(), out->begin(), out->end());
+    for (const Assignment& as : *out) pending.push_back(as.ticket);
+  }
+  for (int round = 0; !ex.finished() && round < 64; ++round) {
+    std::vector<Assignment> buf;
+    const ShardAcquire r = ex.acquire(static_cast<WorkerId>(round % 2), 4, pending, buf);
+    retired += r.retired;
+    handed.insert(handed.end(), buf.begin(), buf.end());
+    for (const Assignment& as : buf) pending.push_back(as.ticket);
+  }
+  ASSERT_TRUE(ex.finished());
+  std::vector<GranuleId> per_phase(2, 0);
+  for (const Assignment& as : handed) per_phase[as.phase] += as.range.size();
+  EXPECT_EQ(per_phase[a], n);
+  EXPECT_EQ(per_phase[b], n);
+  EXPECT_EQ(retired, handed.size()) << "every ticket retires exactly once";
+  EXPECT_EQ(ex.stats().deposits, handed.size());
+  ex.check_census();
+}
+
 TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
   // shards = 1 must reproduce the PR 3 protocol exactly: same handout
   // ranges in the same order, one control section per refill.
@@ -401,11 +506,11 @@ TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
 
   ExecutiveCore core(s1.prog, cfg);
   core.start();
-  sched::Dispatcher d_direct({1, 4, 0, false, false});
+  sched::Dispatcher d_direct({1, 4, false, false});
   ShardedExecutive ex(s2.prog, cfg, CostModel::free_of_charge(),
                       {.shards = 1, .workers = 1, .batch = 4});
   ex.start();
-  sched::Dispatcher d_shard({1, 4, 0, false, false});
+  sched::Dispatcher d_shard({1, 4, false, false});
 
   rt::BodyTable bodies;
   bodies.set(s1.p, [](GranuleRange, WorkerId) {});

@@ -94,9 +94,11 @@ TEST_P(SorParity, ThreadedMatchesSequentialBitwise) {
 
 std::string sor_parity_name(
     const ::testing::TestParamInfo<std::tuple<int, bool, int>>& info) {
-  return "w" + std::to_string(std::get<0>(info.param)) +
-         (std::get<1>(info.param) ? "_overlap" : "_barrier") + "_s" +
-         std::to_string(std::get<2>(info.param));
+  std::string name = "w";
+  name += std::to_string(std::get<0>(info.param));
+  name += std::get<1>(info.param) ? "_overlap_s" : "_barrier_s";
+  name += std::to_string(std::get<2>(info.param));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

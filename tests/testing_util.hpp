@@ -70,6 +70,14 @@ struct GeneratedProgram {
   std::uint32_t sim_shards = 1;
 };
 
+/// `prefix` followed by `i` in decimal, built by appending: GCC 12 flags
+/// `"p" + std::to_string(i)` with a false -Wrestrict in Release builds.
+inline std::string numbered(const char* prefix, std::size_t i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
+
 /// Deterministic program + config from one seed.
 inline GeneratedProgram generate_program(std::uint64_t seed) {
   GeneratedProgram g;
@@ -82,10 +90,9 @@ inline GeneratedProgram generate_program(std::uint64_t seed) {
   const std::size_t n_phases = pick(2, 4);
   for (std::size_t i = 0; i < n_phases; ++i) {
     const GranuleId n = static_cast<GranuleId>(pick(4, 96));
-    const std::string name = "p" + std::to_string(i);
+    const std::string name = numbered("p", i);
     g.phases.push_back(g.program.define_phase(
-        make_phase(name, n).reads("D" + std::to_string(i)).writes(
-            "D" + std::to_string(i + 1))));
+        make_phase(name, n).reads(numbered("D", i)).writes(numbered("D", i + 1))));
     g.granules.push_back(n);
     g.total += n;
   }
@@ -95,7 +102,7 @@ inline GeneratedProgram generate_program(std::uint64_t seed) {
     if (i + 1 < n_phases) {
       const std::uint64_t kind = pick(0, 4);
       EnableClause clause;
-      clause.successor_name = "p" + std::to_string(i + 1);
+      clause.successor_name = numbered("p", i + 1);
       const GranuleId cur_n = g.granules[i];
       const GranuleId succ_n = g.granules[i + 1];
       switch (kind) {
@@ -141,7 +148,7 @@ inline GeneratedProgram generate_program(std::uint64_t seed) {
     }
     g.program.dispatch(g.phases[i], std::move(enables));
     if (i + 1 < n_phases && pick(0, 3) == 0) {
-      g.program.serial("s" + std::to_string(i), {}, /*sim_duration=*/pick(0, 40),
+      g.program.serial(numbered("s", i), {}, /*sim_duration=*/pick(0, 40),
                        /*conflicts=*/pick(0, 1) == 1);
     }
   }
