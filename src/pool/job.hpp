@@ -159,6 +159,28 @@ struct Job {
   /// Relaxed monotonic progress counter (observability only).
   std::atomic<std::uint64_t> granules_done{0};
 
+  // --- residency rule (DESIGN.md §7) ---------------------------------------
+  /// Workers resident on this job: +1 at adoption and -1 at release, both
+  /// under the pool mutex, so the pick filter and the sleep predicate read
+  /// it exactly. A cap leave (try_leave) lowers it outside the pool mutex,
+  /// but never below 1, so it never changes what the filter answers.
+  std::atomic<std::uint32_t> residents{0};
+  /// Set while the job is management-bound (judge_cap_locked): it then
+  /// admits one resident. Relaxed: the pick filter reads it under the pool
+  /// mutex, and a lift wakes the pool through that mutex.
+  std::atomic<bool> capped{false};
+  /// The judged period opens once the job has merged one round per pool
+  /// worker (so start()'s section and the adoption convoy stay out of it)
+  /// and again at every latch and lift; it holds the job's body and
+  /// control-plane totals when it opened. period_rounds counts merges up to
+  /// the next judgement (or, before the first period, to its opening).
+  bool period_open PAX_GUARDED_BY(mu) = false;
+  std::uint32_t period_rounds PAX_GUARDED_BY(mu) = 0;
+  std::uint64_t period_body_ns PAX_GUARDED_BY(mu) = 0;
+  std::uint64_t period_control_ns PAX_GUARDED_BY(mu) = 0;
+  /// The cap latched at least once (counts the job in pool.jobs_capped).
+  bool was_capped PAX_GUARDED_BY(mu) = false;
+
   /// Refresh the pick probe from the executive census and the local queues;
   /// true when it flipped from not-runnable to runnable — only then can a
   /// sleeper be stuck, so only then must the caller wake the pool. With
@@ -193,6 +215,68 @@ struct Job {
     if (s == JobState::kQueued) return true;
     if (s != JobState::kRunning) return false;
     return core_runnable.load(std::memory_order_relaxed) || exec.finished();
+  }
+
+  /// The pool's pick filter and sleep predicate (one function, so a worker
+  /// can never find the job runnable and then fail to pick it — that loop
+  /// never sleeps). A capped job admits one resident; a finished one stays
+  /// adoptable so its finalize election always has a taker.
+  [[nodiscard]] bool pickable() const {
+    if (!runnable_probe()) return false;
+    return !capped.load(std::memory_order_relaxed) ||
+           residents.load(std::memory_order_relaxed) == 0 || exec.finished();
+  }
+
+  enum class CapChange : std::uint8_t { kNone, kLatched, kLifted };
+
+  /// Called by a resident right after it merged a non-empty round into
+  /// `stats`. Every `workers` merged rounds it judges the body and control
+  /// time (acquisition wait + hold) spent since the period opened
+  /// (DESIGN.md §7). An uncapped job latches the cap when control exceeded
+  /// body: past the paper's computation:management break-even a second
+  /// worker adds more contention than it takes body work off the first. A
+  /// capped job lifts it once body exceeded `workers` times control: even
+  /// the whole pool could then not keep its control plane busy. The gap
+  /// between the two bounds keeps a job near break-even from flapping, and
+  /// judging the whole period, not just its last rounds, keeps one slow
+  /// section (a preempted holder, a map build) from flipping a long one.
+  /// A lone pool worker has nobody to shed, so it never judges.
+  [[nodiscard]] CapChange judge_cap_locked() PAX_REQUIRES(mu) {
+    const std::uint32_t workers = dispatcher.workers();
+    if (workers < 2 || ++period_rounds < workers) return CapChange::kNone;
+    period_rounds = 0;
+    const std::uint64_t control = exec.stats().control_hold_ns;
+    const auto body = static_cast<std::uint64_t>(stats.busy.count());
+    const std::uint64_t c = control - period_control_ns;
+    const std::uint64_t b = body - period_body_ns;
+    const bool was = capped.load(std::memory_order_relaxed);
+    if (period_open && (was ? b <= workers * c : c <= b))
+      return CapChange::kNone;
+    const bool opening = !period_open;
+    period_open = true;  // a new period opens with this merge
+    period_control_ns = control;
+    period_body_ns = body;
+    if (opening) return CapChange::kNone;
+    capped.store(!was, std::memory_order_relaxed);
+    if (was) return CapChange::kLifted;
+    const bool first = !was_capped;
+    was_capped = true;
+    return first ? CapChange::kLatched : CapChange::kNone;
+  }
+
+  /// A resident of a capped job gives up its place while another worker
+  /// holds one. The CAS never takes the count below 1, so exactly one
+  /// resident stays however many try at once. A finished job sheds nobody:
+  /// its adopters are there for the finalize election.
+  [[nodiscard]] bool try_leave() {
+    if (!capped.load(std::memory_order_relaxed) || exec.finished())
+      return false;
+    std::uint32_t r = residents.load(std::memory_order_relaxed);
+    while (r > 1) {
+      if (residents.compare_exchange_weak(r, r - 1, std::memory_order_relaxed))
+        return true;
+    }
+    return false;
   }
 
   [[nodiscard]] bool has_deadline() const { return deadline != kNoDeadlineTp; }
@@ -290,19 +374,37 @@ struct PoolCtl {
   std::vector<std::chrono::nanoseconds> busy PAX_GUARDED_BY(mu);
   std::vector<std::chrono::nanoseconds> worker_wall PAX_GUARDED_BY(mu);
 
+  /// Settle a job the calling worker gave up; `counted` when it still holds
+  /// a place in `residents` (a cap leave already gave its place up). With
+  /// no resident left, nobody else refreshes the job's probe, and the cached
+  /// value can be stale: a cap leaver retires tickets that enable work, then
+  /// leaves without taking it, while a peer's concurrent refresh overwrites
+  /// the flip with an older `false`. So the probe is recomputed live here,
+  /// under the pool mutex: of the last stayer and the last leaver, whichever
+  /// takes the mutex second sees the other's publish (DESIGN.md §7). Returns
+  /// the job when it is left pickable without a resident — it needs a
+  /// taker, so a caller that picks elsewhere must notify the sleepers.
+  const Job* settle_locked(Job& j, bool counted) PAX_REQUIRES(mu) {
+    if (counted) j.residents.fetch_sub(1, std::memory_order_relaxed);
+    if (j.residents.load(std::memory_order_relaxed) != 0) return nullptr;
+    if (j.refresh_probes()) cv.notify_all();
+    return j.pickable() ? &j : nullptr;
+  }
+
+  /// The sleep predicate: some job passes the pick filter.
   [[nodiscard]] bool any_runnable_locked() const PAX_REQUIRES(mu) {
     for (const auto& j : jobs)
-      if (j->runnable_probe()) return true;
+      if (j->pickable()) return true;
     return false;
   }
 
-  /// Policy pick over the runnable jobs' atomic probes.
+  /// Policy pick over the jobs that pass the same filter.
   [[nodiscard]] std::shared_ptr<Job> pick_job_locked(SchedPolicy policy) const
       PAX_REQUIRES(mu) {
     std::shared_ptr<Job> best;
     JobView best_view;
     for (const auto& j : jobs) {
-      if (!j->runnable_probe()) continue;
+      if (!j->pickable()) continue;
       const JobView v{j->id, j->priority,
                       j->granules_done.load(std::memory_order_relaxed),
                       j->deadline_view_ns()};

@@ -1,6 +1,7 @@
 #include "pool/pool_runtime.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 #include "sched/dispatcher.hpp"
@@ -33,6 +34,11 @@ PoolRuntime::PoolRuntime(PoolConfig config)
   mid_.rotations = metrics_.register_counter("worker.rotations");
   mid_.job_locks = metrics_.register_counter("worker.job_lock_acquisitions");
   mid_.faulted = metrics_.register_counter("worker.faulted");
+  // Residency rule (DESIGN.md §7), added live by the worker that latched or
+  // lifted the cap or left: all three events are rare, so no local staging.
+  mid_.jobs_capped = metrics_.register_counter("pool.jobs_capped");
+  mid_.cap_lifts = metrics_.register_counter("pool.cap_lifts");
+  mid_.cap_leaves = metrics_.register_counter("pool.cap_leaves");
   metrics_.bind(config_.workers);
   workers_.reserve(config_.workers);
   for (WorkerId w = 0; w < config_.workers; ++w)
@@ -243,6 +249,13 @@ void PoolRuntime::worker_main(WorkerId id) {
   std::uint64_t steal_fails = 0;
   std::uint64_t last_resident = kNoJobId;
   std::shared_ptr<detail::Job> job;  // resident job
+  // Drained job this worker gave up; the next pick settles it under the
+  // pool mutex. `released_left`: a cap leave already took it off the count.
+  std::shared_ptr<detail::Job> released;
+  bool released_left = false;
+  // Over the resident job's cap: already uncounted; retires and drains what
+  // it holds, then leaves without refilling or stealing (DESIGN.md §7).
+  bool leaving = false;
 
   // Fault hand-off (DESIGN.md §15): drain_local's exception barrier parks
   // fault records in the job dispatcher's per-worker buffer; report them
@@ -263,18 +276,32 @@ void PoolRuntime::worker_main(WorkerId id) {
     if (job == nullptr) {
       PAX_DCHECK(done.empty());
       RankedUniqueLock lock(ctl_->mu);
+      // Settle the job this worker gave up. If it is left pickable without
+      // a resident and this worker picks elsewhere, the sleepers must hear
+      // it. The reference goes now (a sleeper must not keep a job alive);
+      // the address is only compared, while the pool mutex is held and the
+      // job list keeps the job alive.
+      const detail::Job* reopened = nullptr;
+      if (released != nullptr) {
+        reopened = ctl_->settle_locked(*released, !released_left);
+        released.reset();
+      }
       // Explicit wait loop: the predicate touches guarded state, which
       // the analysis cannot track through a lambda.
       if (!ctl_->stop && !ctl_->any_runnable_locked()) {
+        reopened = nullptr;  // no longer pickable: a later flip wakes anyway
         trace_event(id, kNoJobId, obs::TraceKind::kSleep);
         while (!ctl_->stop && !ctl_->any_runnable_locked()) ctl_->cv.wait(lock);
         trace_event(id, kNoJobId, obs::TraceKind::kWake);
       }
       job = ctl_->pick_job_locked(config_.policy);
+      if (reopened != nullptr && job.get() != reopened) ctl_->cv.notify_all();
       if (job == nullptr) {
         if (ctl_->stop) break;
         continue;  // stale probe; re-evaluate
       }
+      job->residents.fetch_add(1, std::memory_order_relaxed);
+      leaving = false;
       if (job->id != last_resident) {
         if (last_resident != kNoJobId) ++rotations;
         last_resident = job->id;
@@ -304,6 +331,7 @@ void PoolRuntime::worker_main(WorkerId id) {
     bool fin_has_deadline = false;
     bool fin_missed = false;
     FaultStats fin_faults{};
+    auto cap = detail::Job::CapChange::kNone;
     {
       RankedLock jlock(job->mu);
       ++locks;
@@ -316,6 +344,7 @@ void PoolRuntime::worker_main(WorkerId id) {
         job->granules_done.fetch_add(delta.granules, std::memory_order_relaxed);
         delta = {};
         steal_delta = 0;
+        cap = job->judge_cap_locked();
       }
 
       st = job->state.load(std::memory_order_relaxed);
@@ -339,12 +368,25 @@ void PoolRuntime::worker_main(WorkerId id) {
       trace_event(id, job->id, obs::TraceKind::kJobOpen);
       job->exec.start();
     }
+    if (cap == detail::Job::CapChange::kLatched) {
+      metrics_.add(mid_.jobs_capped, id, 1);
+    } else if (cap == detail::Job::CapChange::kLifted) {
+      metrics_.add(mid_.cap_lifts, id, 1);
+      ctl_->wake();  // the job admits more residents again
+    }
+    if (!leaving && job->try_leave()) {
+      leaving = true;
+      metrics_.add(mid_.cap_leaves, id, 1);
+    }
 
     if (st != JobState::kRunning) {
       PAX_DCHECK(done.empty());
       out = Outcome::kGone;
     } else {
-      job->dispatcher.refill(job->exec, id, done);
+      if (leaving)
+        job->dispatcher.retire(job->exec, id, done);
+      else
+        job->dispatcher.refill(job->exec, id, done);
       if (job->dispatcher.occupancy(id) > 0) {
         out = Outcome::kExecute;
       } else if (job->exec.finished()) {
@@ -425,7 +467,8 @@ void PoolRuntime::worker_main(WorkerId id) {
         } else {
           out = Outcome::kGone;  // a peer won the finalize
         }
-      } else if (job->exec.has_idle_work() && job->exec.idle_work()) {
+      } else if (!leaving && job->exec.has_idle_work() &&
+                 job->exec.idle_work()) {
         // Donate the rotation gap to this job's executive (map builds,
         // deferred splits) before declaring its rundown.
         out = Outcome::kRetry;
@@ -494,8 +537,8 @@ void PoolRuntime::worker_main(WorkerId id) {
       case Outcome::kDrained: {
         // The job's executive is dry but peers may still hold fat local
         // queues — its rundown. Steal a FIFO range from the most-loaded
-        // peer before giving up residency.
-        if (config_.steal) {
+        // peer before giving up residency (a cap leaver just leaves).
+        if (config_.steal && !leaving) {
           const std::size_t got = job->dispatcher.try_steal(id);
           if (got > 0) {
             steals += got;
@@ -513,10 +556,12 @@ void PoolRuntime::worker_main(WorkerId id) {
         // next. refresh_probes() above keeps a drained job out of the pick
         // until it has work again.
         trace_event(id, job->id, obs::TraceKind::kJobDrain);
-        job.reset();
+        released_left = leaving;
+        released = std::exchange(job, nullptr);
         break;
       }
       case Outcome::kGone:
+        // Terminal: never picked again, so its resident count is moot.
         job.reset();
         break;
     }

@@ -15,6 +15,11 @@
 //             runnable job chosen by SchedPolicy, so another program's
 //             granules fill this program's tail.
 //
+// Both levels obey the residency rule (DESIGN.md §7): a job whose control
+// plane costs more than its bodies admits one resident until its bodies
+// clearly outweigh it again, and the workers it sheds go to other jobs or
+// to sleep.
+//
 // Oversubscribing a fixed processor set with independent work sources is the
 // classic rundown cure at this scope (Argentini 2003, virtual processors for
 // SPMD programs); per-job accounting (JobStats vs. a solo baseline) keeps
@@ -180,7 +185,7 @@ class PoolRuntime {
   obs::MetricsRegistry metrics_;
   struct MetricIds {
     obs::MetricId tasks, granules, busy_ns, wall_ns, steals, steal_fails,
-        rotations, job_locks, faulted;
+        rotations, job_locks, faulted, jobs_capped, cap_lifts, cap_leaves;
   } mid_{};
 
   /// Shared control block (detail::PoolCtl, job.hpp): the pool mutex, the

@@ -85,6 +85,15 @@ RefillOutcome Dispatcher::refill(ShardedExecutive& ex, WorkerId w,
   return out;
 }
 
+void Dispatcher::retire(ShardedExecutive& ex, WorkerId w,
+                        std::vector<Ticket>& done) {
+  if (done.empty()) return;
+  std::vector<Assignment>& buf = scratch_[w];
+  buf.clear();
+  (void)ex.acquire(w, /*max_n=*/0, done, buf);
+  PAX_DCHECK(buf.empty());
+}
+
 void Dispatcher::push_reversed(WorkerId w, const std::vector<Assignment>& buf) {
   // Push in reverse so the owner's LIFO pop order equals the order the
   // assignments arrived in (the executive's elevated-first handout order on

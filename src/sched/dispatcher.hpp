@@ -125,6 +125,11 @@ class Dispatcher {
   /// a sweeping peer's request path.
   RefillOutcome refill(ShardedExecutive& ex, WorkerId w, std::vector<Ticket>& done);
 
+  /// Retire `done` (cleared on return) without pulling new work: the last
+  /// rounds of a worker leaving a capped pool job (DESIGN.md §7). Same
+  /// locking as refill(); a worker with nothing to retire returns at once.
+  void retire(ShardedExecutive& ex, WorkerId w, std::vector<Ticket>& done);
+
   /// Owner pop from `w`'s local queue (LIFO end; executive handout order).
   bool pop_local(WorkerId w, Assignment& out) {
     return queues_[w]->pop(out);

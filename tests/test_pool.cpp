@@ -1,5 +1,6 @@
 // Pool runtime tests: K concurrent jobs complete with exact accounting,
-// scheduling policies (including EDF) order rotations as documented,
+// scheduling policies (including EDF) order rotations as documented, the
+// residency rule caps management-bound jobs at one resident,
 // cancel-before-open and true mid-run cancellation on both shard engines,
 // admission control / kRejected, deadline accounting, timed waits, handles
 // that outlive the pool, the done() => stats()-final terminal contract, and
@@ -7,8 +8,11 @@
 // ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -16,6 +20,7 @@
 
 #include "pool/pool_runtime.hpp"
 #include "runtime/happens_before.hpp"
+#include "testing_util.hpp"
 
 namespace pax::pool {
 namespace {
@@ -780,6 +785,299 @@ TEST(PoolHappensBefore, IdentityOrderHoldsForPooledJob) {
     EXPECT_LT(rec.finish_ticket(0, g), rec.start_ticket(1, g))
         << "identity enablement violated at granule " << g;
   }
+}
+
+// --- residency rule (DESIGN.md §7) ------------------------------------------
+
+/// Per-worker task counts and per-granule execution counts of one job.
+struct JobProbe {
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> tasks{0};
+  };
+  explicit JobProbe(const std::vector<GranuleId>& granules) : rec(granules) {}
+
+  std::array<Cell, 8> by_worker{};
+  pax::testing::ExecutionRecorder rec;
+
+  [[nodiscard]] std::array<std::uint64_t, 8> tasks() const {
+    std::array<std::uint64_t, 8> out{};
+    for (std::size_t w = 0; w < out.size(); ++w)
+      out[w] = by_worker[w].tasks.load(std::memory_order_relaxed);
+    return out;
+  }
+  [[nodiscard]] std::uint64_t total_tasks() const {
+    std::uint64_t n = 0;
+    for (std::uint64_t t : tasks()) n += t;
+    return n;
+  }
+  [[nodiscard]] std::uint32_t workers_used() const {
+    std::uint32_t n = 0;
+    for (std::uint64_t t : tasks()) n += t > 0 ? 1 : 0;
+    return n;
+  }
+};
+
+using pax::testing::Rendezvous;
+
+/// Bodies for `phases` (recorded as phase 0, 1, ...) that busy-wait `spin`
+/// per task (0 = a no-op body) after an optional rendezvous, then record.
+rt::BodyTable probe_bodies(const std::vector<PhaseId>& phases, JobProbe& probe,
+                           std::chrono::nanoseconds spin,
+                           Rendezvous* meet = nullptr) {
+  rt::BodyTable bodies;
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    bodies.set(phases[i], [&probe, spin, meet, i](GranuleRange r, WorkerId w) {
+      if (meet != nullptr) meet->arrive(w);
+      pax::testing::spin_for(spin);
+      probe.by_worker[w].tasks.fetch_add(1, std::memory_order_relaxed);
+      probe.rec.record(i, r);
+    });
+  }
+  return bodies;
+}
+
+std::uint64_t pool_metric(const PoolRuntime& pool, const char* name) {
+  return pool.stats().metrics.value_of(name);
+}
+
+/// Poll until the rule has capped `n` jobs or `h` is done.
+void wait_for_capped(const PoolRuntime& pool, std::uint64_t n, JobHandle& h) {
+  while (pool_metric(pool, "pool.jobs_capped") < n && !h.done())
+    std::this_thread::sleep_for(std::chrono::microseconds{20});
+}
+
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+double wall_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// A management-bound job: a chain of no-op phases linked by identity
+// edges, grain 1, one shard (as the serve benchmark runs its jobs). Every
+// refill is a control section and every retired granule enables its
+// successor in one, so the control plane outweighs the bodies even with
+// one resident. With no barrier between the phases, a resident seldom runs
+// dry and hands the job to another worker.
+constexpr std::size_t kChainPhases = 40;
+constexpr GranuleId kChainWidth = 2048;
+// A body-bound task. Sanitizer builds slow the control plane several-fold
+// but not a wall-clock spin, so the spin grows there to keep the margin.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr std::chrono::microseconds kBodyBoundSpin{200};
+#else
+constexpr std::chrono::microseconds kBodyBoundSpin{20};
+#endif
+
+/// The management-bound chain job, its probe and bodies (test scope).
+struct ManagementBoundJob {
+  explicit ManagementBoundJob(Rendezvous* meet = nullptr)
+      : probe(std::vector<GranuleId>(kChainPhases, kChainWidth)) {
+    using pax::testing::numbered;
+    for (std::size_t i = 0; i < kChainPhases; ++i) {
+      PhaseSpec spec = make_phase(numbered("p", i), kChainWidth);
+      if (i > 0) spec.reads(numbered("D", i - 1));
+      phases.push_back(prog.define_phase(spec.writes(numbered("D", i))));
+    }
+    for (std::size_t i = 0; i + 1 < kChainPhases; ++i)
+      prog.dispatch(phases[i], {EnableClause{numbered("p", i + 1),
+                                             MappingKind::kIdentity, {}}});
+    prog.dispatch(phases.back());
+    prog.halt();
+    bodies = probe_bodies(phases, probe, {}, meet);
+    cfg.grain = 1;
+  }
+
+  PhaseProgram prog;
+  std::vector<PhaseId> phases;
+  JobProbe probe;
+  rt::BodyTable bodies;
+  ExecConfig cfg;
+};
+
+TEST(PoolResidency, ManagementBoundJobIsCappedAndExtraResidentsLeave) {
+  constexpr std::uint32_t kWorkers = 4;
+  // Every worker resident before the first merged round: the latch then
+  // finds extra residents to send away (alone, it just refuses adopters).
+  // On a loaded host a resident can run dry and release the job before the
+  // first judgement, leaving nobody to shed; such a run is tried again.
+  std::uint64_t leaves = 0;
+  for (int attempt = 0; attempt < 5 && leaves == 0; ++attempt) {
+    Rendezvous all(kWorkers, std::chrono::seconds{2});
+    ManagementBoundJob job(&all);
+    PoolRuntime pool({.workers = kWorkers, .shards = 1});
+    JobHandle h = pool.submit(job.prog, job.bodies, job.cfg);
+    wait_for_capped(pool, 1, h);
+    ASSERT_FALSE(h.done()) << "the job finished before the rule capped it";
+    EXPECT_EQ(h.wait(), JobState::kComplete);
+    pool.shutdown();
+
+    job.probe.rec.expect_exactly_once();
+    EXPECT_EQ(pool_metric(pool, "pool.jobs_capped"), 1u);
+    // All but one resident leave at the latch. A rendezvous wait that
+    // reaches the first judged period counts as body time and can lift
+    // the cap until the next period latches it again; each lift can shed
+    // up to kWorkers - 1 residents once more.
+    const std::uint64_t lifts = pool_metric(pool, "pool.cap_lifts");
+    leaves = pool_metric(pool, "pool.cap_leaves");
+    EXPECT_LE(leaves, (kWorkers - 1) * (1 + lifts));
+  }
+  EXPECT_GE(leaves, 1u);
+}
+
+// The schedule that can strand a capped job, pinned: a leaver's retire
+// enables work, its refresh publishes `true`, a stayer's older refresh
+// overwrites it with `false`, and then both give the job up. Whichever of
+// them is the last to settle must find the work by recomputing the probe
+// under the pool mutex, not by trusting the cached value (DESIGN.md §7).
+TEST(PoolResidency, LastSettleRecomputesAStaleProbe) {
+  SinglePhase s = make_single_phase(64);
+  rt::BodyTable bodies;
+  bodies.set(s.p, [](GranuleRange, WorkerId) {});
+  const sched::DispatchConfig dispatch{.workers = 2};
+  detail::Job job(/*id_in=*/0, /*priority_in=*/0, s.prog, bodies, ExecConfig{},
+                  CostModel{}, dispatch,
+                  ShardConfig{.shards = 1, .workers = 2, .batch = 8});
+  job.exec.start();
+  job.state.store(JobState::kRunning);
+  job.capped.store(true);
+  ASSERT_TRUE(job.exec.runnable());
+
+  // counted: the stayer settles last; otherwise a leaver, uncounted since
+  // its try_leave(), settles after the stayer already did.
+  for (const bool counted : {true, false}) {
+    job.residents.store(counted ? 1 : 0);
+    job.core_runnable.store(false);  // the stayer's stale refresh
+    ASSERT_FALSE(job.runnable_probe()) << "the cached view strands the job";
+    detail::PoolCtl ctl;
+    RankedLock lock(ctl.mu);
+    EXPECT_EQ(ctl.settle_locked(job, counted), &job) << "counted " << counted;
+    EXPECT_EQ(job.residents.load(), 0u);
+    EXPECT_TRUE(job.pickable());
+  }
+  // A settle that leaves a resident behind leaves the probe to it.
+  job.residents.store(2);
+  job.core_runnable.store(false);
+  detail::PoolCtl ctl;
+  RankedLock lock(ctl.mu);
+  EXPECT_EQ(ctl.settle_locked(job, /*counted=*/true), nullptr);
+  EXPECT_EQ(job.residents.load(), 1u);
+  EXPECT_FALSE(job.runnable_probe());
+}
+
+// A cap leave needs a capped, unfinished job and another resident; a
+// finished job's adopters are there for the finalize election, not to work.
+TEST(PoolResidency, OnlyAnUnfinishedCappedJobShedsResidents) {
+  SinglePhase s = make_single_phase(64);
+  rt::BodyTable bodies;
+  bodies.set(s.p, [](GranuleRange, WorkerId) {});
+  const sched::DispatchConfig dispatch{.workers = 3};
+  detail::Job job(/*id_in=*/0, /*priority_in=*/0, s.prog, bodies, ExecConfig{},
+                  CostModel{}, dispatch,
+                  ShardConfig{.shards = 1, .workers = 3, .batch = 8});
+  job.exec.start();
+  job.residents.store(3);
+  EXPECT_FALSE(job.try_leave()) << "uncapped";
+  job.capped.store(true);
+  EXPECT_TRUE(job.try_leave());
+  EXPECT_TRUE(job.try_leave());
+  EXPECT_FALSE(job.try_leave()) << "the last resident stays";
+  EXPECT_EQ(job.residents.load(), 1u);
+  job.residents.store(3);
+  job.exec.request_stop();
+  ASSERT_TRUE(job.exec.finished());
+  EXPECT_FALSE(job.try_leave()) << "finished";
+  EXPECT_EQ(job.residents.load(), 3u);
+}
+
+TEST(PoolResidency, BodyBoundJobIsNeverCapped) {
+  constexpr GranuleId kN = 256;
+  SinglePhase s = make_single_phase(kN);
+  JobProbe probe({kN});
+  Rendezvous two(2, std::chrono::seconds{2});
+  rt::BodyTable bodies = probe_bodies({s.p}, probe, kBodyBoundSpin, &two);
+  PoolRuntime pool({.workers = 4});
+  ExecConfig cfg;
+  cfg.grain = 1;
+  JobHandle h = pool.submit(s.prog, bodies, cfg);
+  EXPECT_EQ(h.wait(), JobState::kComplete);
+  pool.shutdown();
+
+  probe.rec.expect_exactly_once();
+  EXPECT_GE(probe.workers_used(), 2u);
+  EXPECT_EQ(pool_metric(pool, "pool.jobs_capped"), 0u);
+  EXPECT_EQ(pool_metric(pool, "pool.cap_leaves"), 0u);
+}
+
+TEST(PoolResidency, BodyBoundJobGetsTheWorkersACappedJobFrees) {
+  // The chain job is capped before the spin job arrives, and FIFO prefers
+  // the chain job: without the rule all three workers stay on it until it
+  // finishes, and the spin job waits behind it.
+  constexpr std::uint32_t kWorkers = 3;
+  constexpr GranuleId kSpinN = 96;
+  ManagementBoundJob chain;
+  SinglePhase spin = make_single_phase(kSpinN);
+  JobProbe spin_probe({kSpinN});
+  // The spin job's first body waits for a second worker, which only the
+  // cap can free.
+  Rendezvous two(2, std::chrono::seconds{2});
+  rt::BodyTable spin_bodies =
+      probe_bodies({spin.p}, spin_probe, kBodyBoundSpin, &two);
+  PoolRuntime pool({.workers = kWorkers, .policy = SchedPolicy::kFifo});
+  ExecConfig cfg;
+  cfg.grain = 1;
+  JobHandle a = pool.submit(chain.prog, chain.bodies, chain.cfg,
+                            /*priority=*/0, CostModel{}, /*shards=*/1);
+  wait_for_capped(pool, 1, a);
+  ASSERT_FALSE(a.done()) << "the job finished before the rule capped it";
+  JobHandle b = pool.submit(spin.prog, spin_bodies, cfg);
+  EXPECT_EQ(b.wait(), JobState::kComplete);
+  EXPECT_FALSE(a.done()) << "the body-bound job waited for the capped one";
+  EXPECT_GE(spin_probe.workers_used(), 2u);
+  EXPECT_EQ(a.wait(), JobState::kComplete);
+  pool.shutdown();
+
+  chain.probe.rec.expect_exactly_once();
+  spin_probe.rec.expect_exactly_once();
+  EXPECT_EQ(pool_metric(pool, "pool.jobs_capped"), 1u);
+  // Per-job sums equal the pool totals and the body-side counts.
+  const PoolStats ps = pool.stats();
+  const JobStats ja = a.stats();
+  const JobStats jb = b.stats();
+  EXPECT_EQ(ja.granules, kChainPhases * kChainWidth);
+  EXPECT_EQ(jb.granules, kSpinN);
+  EXPECT_EQ(ja.tasks, chain.probe.total_tasks());
+  EXPECT_EQ(jb.tasks, spin_probe.total_tasks());
+  EXPECT_EQ(ja.granules + jb.granules, ps.granules_executed);
+  EXPECT_EQ(ja.tasks + jb.tasks, ps.tasks_executed);
+  std::chrono::nanoseconds pool_busy{0};
+  for (auto w : ps.worker_busy) pool_busy += w;
+  EXPECT_EQ(ja.busy + jb.busy, pool_busy);
+}
+
+TEST(PoolResidency, IdleWorkersSleepWhileACappedJobRunsAlone) {
+  constexpr std::uint32_t kWorkers = 4;
+  ManagementBoundJob job;
+  PoolRuntime pool({.workers = kWorkers, .shards = 1});
+  JobHandle h = pool.submit(job.prog, job.bodies, job.cfg);
+  wait_for_capped(pool, 1, h);
+  ASSERT_FALSE(h.done()) << "the job finished before the rule capped it";
+  const double cpu0 = process_cpu_s();
+  const double wall0 = wall_s();
+  EXPECT_EQ(h.wait(), JobState::kComplete);
+  const double cpu = process_cpu_s() - cpu0;
+  const double wall = wall_s() - wall0;
+  pool.shutdown();
+  job.probe.rec.expect_exactly_once();
+  // One resident computes; the leavers must be parked on the pool's cv, not
+  // re-probing a job the filter keeps refusing them (about workers x wall).
+  EXPECT_LT(cpu, 0.5 * kWorkers * wall)
+      << "cpu " << cpu << " s over " << wall << " s of wall";
 }
 
 // --- handle ergonomics -------------------------------------------------------

@@ -496,6 +496,44 @@ TEST(ShardedExecutive, BusyControlPlaneSkipsTheSweepInsteadOfQueueing) {
   ex.check_census();
 }
 
+TEST(Dispatcher, RetireRetiresWithoutPullingWork) {
+  // The last rounds of a worker leaving a capped pool job: its finished
+  // tickets retire, but no new work lands in its local queue.
+  SinglePhase s = make_single_phase(32);
+  ExecConfig cfg;
+  cfg.grain = 4;
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 1, .workers = 1, .batch = 4});
+  ex.start();
+  sched::Dispatcher d({1, 4, false, false});
+  std::vector<Ticket> done;
+  ASSERT_EQ(d.refill(ex, 0, done).refilled, 4u);
+  GranuleId granules = 0;
+  Assignment a;
+  while (d.pop_local(0, a)) {
+    granules += a.range.hi - a.range.lo;
+    done.push_back(a.ticket);
+  }
+  d.retire(ex, 0, done);
+  EXPECT_TRUE(done.empty());
+  EXPECT_EQ(d.occupancy(0), 0u);
+  EXPECT_FALSE(ex.finished());
+  d.retire(ex, 0, done);  // nothing to retire: returns at once
+  EXPECT_EQ(d.occupancy(0), 0u);
+
+  // The retired tickets are gone for good: the rest of the program runs
+  // to completion with every granule handed out once.
+  for (int round = 0; round < 16 && !ex.finished(); ++round) {
+    d.refill(ex, 0, done);
+    while (d.pop_local(0, a)) {
+      granules += a.range.hi - a.range.lo;
+      done.push_back(a.ticket);
+    }
+  }
+  EXPECT_TRUE(ex.finished());
+  EXPECT_EQ(granules, 32u);
+}
+
 TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
   // shards = 1 must reproduce the PR 3 protocol exactly: same handout
   // ranges in the same order, one control section per refill.

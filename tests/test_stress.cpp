@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -34,6 +35,23 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 constexpr std::uint64_t kSeedBase = 1000;
 
 std::uint64_t total_seeds() { return env_u64("PAX_STRESS_SEEDS", 200); }
+
+/// Print the share of this process's pool jobs the residency rule capped,
+/// so a sweep's output shows it covered both sides of the rule.
+void report_caps(const char* sweep) {
+  const pax::testing::CapTally& t = pax::testing::cap_tally();
+  const std::uint64_t jobs = t.jobs.load();
+  const std::uint64_t capped = t.capped.load();
+  std::printf(
+      "[%s] %llu of %llu pool jobs capped (%.0f%%), %llu cap lifts, %llu cap "
+      "leaves\n",
+      sweep, static_cast<unsigned long long>(capped),
+      static_cast<unsigned long long>(jobs),
+      jobs == 0 ? 0.0
+                : 100.0 * static_cast<double>(capped) / static_cast<double>(jobs),
+      static_cast<unsigned long long>(t.lifts.load()),
+      static_cast<unsigned long long>(t.leaves.load()));
+}
 
 /// Run one of the eight seed-space shards (ctest -j runs them in parallel).
 void run_shard(std::uint64_t shard, std::uint64_t n_shards) {
@@ -75,6 +93,7 @@ void run_serve_shard(std::uint64_t shard, std::uint64_t n_shards) {
         pax::testing::generate_program(kSeedBase + s));
     if (::testing::Test::HasFatalFailure()) return;  // seed already traced
   }
+  report_caps("serve sweep");
 }
 
 TEST(Stress, ThreeRuntimeSweepShard0) { run_shard(0, 8); }
@@ -105,6 +124,7 @@ void run_fault_shard(std::uint64_t shard, std::uint64_t n_shards) {
     pax::testing::run_fault_checked(kSeedBase + s);
     if (::testing::Test::HasFatalFailure()) return;  // seed already traced
   }
+  report_caps("fault sweep");
 }
 
 TEST(Stress, ServeSweepShard0) { run_serve_shard(0, 4); }

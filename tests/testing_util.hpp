@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -242,15 +243,63 @@ class ExecutionRecorder {
   std::vector<std::unique_ptr<std::vector<std::atomic<std::uint32_t>>>> counts_;
 };
 
+/// Busy-wait `d` of wall time (no-op for d <= 0).
+inline void spin_for(std::chrono::nanoseconds d) {
+  if (d.count() <= 0) return;
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Body-cost dimension of the pool sweeps: about half the jobs spin 5-30 us
+/// per task, which keeps them body-bound, and the rest keep the near-free
+/// recording body, which the pool's residency rule caps at one resident
+/// (DESIGN.md §7). Both sides of the rule then race cancels and faults.
+inline std::chrono::nanoseconds pick_body_spin(Rng& rng) {
+  if (rng() % 2 == 0) return std::chrono::nanoseconds{0};
+  return std::chrono::microseconds{5 + rng() % 26};
+}
+
+/// Pool jobs the sweeps in this process accepted, and how many of them the
+/// residency rule capped: printed per stress shard to show that a sweep
+/// covered both capped and uncapped jobs.
+struct CapTally {
+  std::atomic<std::uint64_t> jobs{0};
+  std::atomic<std::uint64_t> capped{0};
+  std::atomic<std::uint64_t> lifts{0};
+  std::atomic<std::uint64_t> leaves{0};
+
+  /// Fold in a shut-down pool's counters (the residency metrics are
+  /// worker-cell counters, final once the workers joined).
+  void add(const pool::PoolStats& ps, std::uint64_t accepted) {
+    jobs.fetch_add(accepted, std::memory_order_relaxed);
+    capped.fetch_add(ps.metrics.value_of("pool.jobs_capped"),
+                     std::memory_order_relaxed);
+    lifts.fetch_add(ps.metrics.value_of("pool.cap_lifts"),
+                    std::memory_order_relaxed);
+    leaves.fetch_add(ps.metrics.value_of("pool.cap_leaves"),
+                     std::memory_order_relaxed);
+  }
+};
+
+inline CapTally& cap_tally() {
+  static CapTally tally;
+  return tally;
+}
+
 /// Bodies that record executions and burn a seed-hashed number of cycles
-/// (so schedules differ across seeds without wall-clock dependence).
-inline rt::BodyTable make_recording_bodies(const GeneratedProgram& g,
-                                           ExecutionRecorder& rec,
-                                           std::atomic<std::uint64_t>& sink) {
+/// (so schedules differ across seeds without wall-clock dependence), plus
+/// `spin` of wall time per task (the body-cost dimension).
+inline rt::BodyTable make_recording_bodies(
+    const GeneratedProgram& g, ExecutionRecorder& rec,
+    std::atomic<std::uint64_t>& sink,
+    std::chrono::nanoseconds spin = std::chrono::nanoseconds{0}) {
   rt::BodyTable bodies;
   for (std::size_t p = 0; p < g.phases.size(); ++p) {
     const std::uint64_t seed = g.seed;
-    bodies.set(g.phases[p], [p, seed, &rec, &sink](GranuleRange r, WorkerId) {
+    bodies.set(g.phases[p], [p, seed, spin, &rec, &sink](GranuleRange r,
+                                                         WorkerId) {
+      spin_for(spin);
       std::uint64_t acc = 0;
       for (GranuleId gr = r.lo; gr < r.hi; ++gr) {
         std::uint64_t s = seed ^ (p * 0x9E37ULL) ^ gr;
@@ -326,16 +375,16 @@ struct SlowGranuleSpec {
 /// decision runs FIRST, before any recording: a throwing attempt must leave
 /// the recorder untouched, because the executive re-enqueues the whole
 /// range on retry and expect_exactly_once must still hold once the program
-/// completes.
-inline rt::BodyTable make_faulty_bodies(const GeneratedProgram& g,
-                                        ExecutionRecorder& rec,
-                                        std::atomic<std::uint64_t>& sink,
-                                        FaultInjector& inj,
-                                        SlowGranuleSpec slow = {}) {
+/// completes. `spin` is the body-cost dimension (pick_body_spin).
+inline rt::BodyTable make_faulty_bodies(
+    const GeneratedProgram& g, ExecutionRecorder& rec,
+    std::atomic<std::uint64_t>& sink, FaultInjector& inj,
+    SlowGranuleSpec slow = {},
+    std::chrono::nanoseconds spin = std::chrono::nanoseconds{0}) {
   rt::BodyTable bodies;
   for (std::size_t p = 0; p < g.phases.size(); ++p) {
     const std::uint64_t seed = g.seed;
-    bodies.set(g.phases[p], [p, seed, slow, &rec, &sink,
+    bodies.set(g.phases[p], [p, seed, slow, spin, &rec, &sink,
                              &inj](GranuleRange r, WorkerId) {
       for (GranuleId gr = r.lo; gr < r.hi; ++gr)
         if (inj.should_throw(p, gr))
@@ -345,6 +394,7 @@ inline rt::BodyTable make_faulty_bodies(const GeneratedProgram& g,
       if (slow.sleep.count() > 0 && p == slow.phase && slow.granule >= r.lo &&
           slow.granule < r.hi)
         std::this_thread::sleep_for(slow.sleep);
+      spin_for(spin);
       std::uint64_t acc = 0;
       for (GranuleId gr = r.lo; gr < r.hi; ++gr) {
         std::uint64_t s = seed ^ (p * 0x9E37ULL) ^ gr;
@@ -458,15 +508,92 @@ inline void run_pool_checked(const GeneratedProgram& g) {
   EXPECT_EQ(throwaway_granules.load(), cancelled_granules);
 }
 
+/// Holds each body until `n` distinct workers have entered one, or until
+/// `bound` passes: lets several workers become resident on a job before its
+/// first merged round, however the host schedules their wake-ups.
+class Rendezvous {
+ public:
+  Rendezvous(std::uint32_t n, std::chrono::nanoseconds bound)
+      : n_(n), bound_(bound) {}
+
+  void arrive(WorkerId w) {
+    if (met_.load(std::memory_order_acquire)) return;
+    const std::uint64_t bit = std::uint64_t{1} << (w % 64);
+    const std::uint64_t seen = mask_.fetch_or(bit) | bit;
+    if (static_cast<std::uint32_t>(std::popcount(seen)) >= n_) {
+      met_.store(true, std::memory_order_release);
+      return;
+    }
+    const auto until = std::chrono::steady_clock::now() + bound_;
+    while (!met_.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < until)
+      std::this_thread::yield();
+  }
+
+  /// True once `n` distinct workers have arrived.
+  [[nodiscard]] bool met() const { return met_.load(std::memory_order_acquire); }
+
+ private:
+  const std::uint32_t n_;
+  const std::chrono::nanoseconds bound_;
+  std::atomic<std::uint64_t> mask_{0};
+  std::atomic<bool> met_{false};
+};
+
+/// A wide no-op job (one phase, grain 1) whose first bodies hold until
+/// min(workers, 3) workers are resident. Its control plane outweighs its
+/// bodies, so the residency rule caps it with residents to send away: cap
+/// leaves then race whatever else the sweep does to the pool. `inj` may
+/// seed faults into it (the body checks before recording, as
+/// make_faulty_bodies does).
+struct WideNoOpJob {
+  static constexpr GranuleId kGranules = 8192;
+
+  explicit WideNoOpJob(std::uint32_t workers)
+      : granules{kGranules},
+        rec(granules),
+        inj(granules),
+        meet(std::min<std::uint32_t>(workers, 3), std::chrono::milliseconds{2}) {
+    const PhaseId p =
+        program.define_phase(make_phase("wide", kGranules).writes("W"));
+    program.dispatch(p);
+    program.halt();
+    bodies.set(p, [this](GranuleRange r, WorkerId w) {
+      for (GranuleId gr = r.lo; gr < r.hi; ++gr)
+        if (inj.should_throw(0, gr))
+          throw std::runtime_error("injected fault: wide granule " +
+                                   std::to_string(gr));
+      meet.arrive(w);
+      rec.record(0, r);
+    });
+    exec.grain = 1;
+  }
+  WideNoOpJob(const WideNoOpJob&) = delete;
+  WideNoOpJob& operator=(const WideNoOpJob&) = delete;
+
+  std::vector<GranuleId> granules;
+  PhaseProgram program;
+  ExecConfig exec;
+  ExecutionRecorder rec;
+  FaultInjector inj;
+  Rendezvous meet;
+  rt::BodyTable bodies;
+};
+
 /// Serve-mode stress: a burst of jobs from one generated program under EDF
-/// with a bounded admission budget, random deadlines, and cancels fired at
-/// random points (pre-open, mid-run, post-completion — the race is the
-/// point). Checks the terminal-state machine end-to-end: every job lands in
-/// exactly one terminal state, granule execution is exactly-once for
-/// completed jobs and at-most-once for cancelled ones, rejected jobs never
-/// execute, and the per-job stats sums match the pool counters.
+/// with a bounded admission budget, random deadlines, per-job body costs
+/// (so capped and uncapped jobs share the pool, and cap leaves race the
+/// cancels and the finalize election), and cancels fired at random points
+/// (pre-open, mid-run, post-completion — the race is the point). Checks the
+/// terminal-state machine end-to-end: every job lands in exactly one
+/// terminal state, granule execution is exactly-once for completed jobs and
+/// at-most-once for cancelled ones, rejected jobs never execute, and the
+/// per-job stats sums match the pool counters.
+///
+/// On a multi-worker pool a wide no-op job joins the burst: its first
+/// bodies hold until several workers are resident, so its cap latches with
+/// residents to send away and cap leaves race everything above.
 inline void run_serve_checked(const GeneratedProgram& g) {
-  constexpr std::size_t kJobs = 6;
   Rng rng(g.seed ^ 0x5EC7E5ULL);
   auto pick = [&](std::uint64_t lo, std::uint64_t hi) {  // inclusive
     return lo + rng() % (hi - lo + 1);
@@ -480,24 +607,45 @@ inline void run_serve_checked(const GeneratedProgram& g) {
   pc.steal = g.steal;
   pc.adaptive_grain = g.adaptive_grain;
   pc.policy = pool::SchedPolicy::kDeadline;
-  // Small enough that a fast burst of kJobs can overflow it on some seeds
+  // Small enough that a fast burst of jobs can overflow it on some seeds
   // (rejection coverage), large enough that it usually doesn't starve.
   pc.max_pending = static_cast<std::uint32_t>(pick(2, 4));
 
-  std::vector<std::unique_ptr<ExecutionRecorder>> recs;
+  constexpr std::size_t kGenerated = 6;
+  std::vector<std::unique_ptr<ExecutionRecorder>> owned_recs;
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> sinks;
-  std::vector<std::unique_ptr<rt::BodyTable>> bodies;  // stable addresses
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    recs.push_back(std::make_unique<ExecutionRecorder>(g.granules));
+  std::vector<std::unique_ptr<rt::BodyTable>> owned_bodies;  // stable addresses
+  // Per job: program, config, body table, recorder, granule total.
+  struct Spec {
+    const PhaseProgram* program;
+    ExecConfig exec;
+    const rt::BodyTable* bodies;
+    ExecutionRecorder* rec;
+    std::uint64_t total;
+  };
+  std::vector<Spec> specs;
+  for (std::size_t i = 0; i < kGenerated; ++i) {
+    owned_recs.push_back(std::make_unique<ExecutionRecorder>(g.granules));
     sinks.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
-    bodies.push_back(std::make_unique<rt::BodyTable>(
-        make_recording_bodies(g, *recs.back(), *sinks.back())));
+    owned_bodies.push_back(std::make_unique<rt::BodyTable>(make_recording_bodies(
+        g, *owned_recs.back(), *sinks.back(), pick_body_spin(rng))));
+    specs.push_back({&g.program, g.exec, owned_bodies.back().get(),
+                     owned_recs.back().get(), g.total});
   }
+  std::unique_ptr<WideNoOpJob> wide;
+  if (pc.workers > 1) {
+    wide = std::make_unique<WideNoOpJob>(pc.workers);
+    // Anywhere in the burst, so it meets every kind of neighbour.
+    const auto at = static_cast<std::ptrdiff_t>(pick(0, kGenerated));
+    specs.insert(specs.begin() + at, {&wide->program, wide->exec, &wide->bodies,
+                                      &wide->rec, WideNoOpJob::kGranules});
+  }
+  const std::size_t n_jobs = specs.size();
 
   std::vector<pool::JobHandle> handles;
   {
     pool::PoolRuntime pool(pc);
-    for (std::size_t i = 0; i < kJobs; ++i) {
+    for (std::size_t i = 0; i < n_jobs; ++i) {
       pool::PoolRuntime::SubmitOptions opts;
       opts.priority = static_cast<int>(pick(0, 3));
       switch (pick(0, 3)) {
@@ -509,7 +657,8 @@ inline void run_serve_checked(const GeneratedProgram& g) {
           opts.deadline = std::chrono::milliseconds{200};
           break;
       }
-      handles.push_back(pool.submit(g.program, *bodies[i], g.exec, opts));
+      handles.push_back(
+          pool.submit(*specs[i].program, *specs[i].bodies, specs[i].exec, opts));
       // Fire some cancels immediately (pre-open or early mid-run) and some
       // after a progress-dependent delay (late mid-run or post-completion).
       if (pick(0, 2) == 0) {
@@ -524,24 +673,25 @@ inline void run_serve_checked(const GeneratedProgram& g) {
     std::uint64_t sum_granules = 0;
     std::uint64_t n_complete = 0, n_cancelled = 0, n_rejected = 0;
     std::uint64_t missed = 0, met = 0;
-    for (std::size_t i = 0; i < kJobs; ++i) {
+    for (std::size_t i = 0; i < n_jobs; ++i) {
       const pool::JobState st = handles[i].wait();  // all terminal after drain
       EXPECT_TRUE(pool::is_terminal(st));
       const pool::JobStats js = handles[i].stats();
-      EXPECT_EQ(recs[i]->total(), js.granules)
+      ExecutionRecorder& rec = *specs[i].rec;
+      EXPECT_EQ(rec.total(), js.granules)
           << "body-side execution count disagrees with job stats";
       sum_granules += js.granules;
       switch (st) {
         case pool::JobState::kComplete:
           ++n_complete;
-          recs[i]->expect_exactly_once();
-          EXPECT_EQ(js.granules, g.total);
+          rec.expect_exactly_once();
+          EXPECT_EQ(js.granules, specs[i].total);
           if (js.has_deadline) (js.deadline_missed ? missed : met) += 1;
           break;
         case pool::JobState::kCancelled:
           ++n_cancelled;
-          recs[i]->expect_at_most_once();
-          EXPECT_LE(js.granules, g.total);
+          rec.expect_at_most_once();
+          EXPECT_LE(js.granules, specs[i].total);
           EXPECT_FALSE(js.deadline_missed);  // cancelled never counts missed
           break;
         case pool::JobState::kRejected:
@@ -557,15 +707,24 @@ inline void run_serve_checked(const GeneratedProgram& g) {
                         << to_string(st);
       }
     }
-    EXPECT_EQ(ps.jobs_submitted, kJobs);
+    EXPECT_EQ(ps.jobs_submitted, n_jobs);
     EXPECT_EQ(ps.jobs_completed, n_complete);
     EXPECT_EQ(ps.jobs_cancelled, n_cancelled);
     EXPECT_EQ(ps.jobs_rejected, n_rejected);
     EXPECT_EQ(ps.jobs_deadline_missed, missed);
     EXPECT_EQ(ps.jobs_deadline_met, met);
     pool.shutdown();
-    EXPECT_EQ(pool.stats().granules_executed, sum_granules)
+    const pool::PoolStats fin = pool.stats();
+    EXPECT_EQ(fin.granules_executed, sum_granules)
         << "pool totals disagree with per-job sums";
+    // Only a job that opened can latch the cap, and a lone worker has
+    // nobody to shed, so the rule never judges there.
+    EXPECT_LE(fin.metrics.value_of("pool.jobs_capped"), n_complete + n_cancelled);
+    if (pc.workers == 1) {
+      EXPECT_EQ(fin.metrics.value_of("pool.jobs_capped"), 0u);
+      EXPECT_EQ(fin.metrics.value_of("pool.cap_leaves"), 0u);
+    }
+    cap_tally().add(fin, n_jobs - n_rejected);
   }
   // Handles outlive the pool: state/stats still answer, cancel degrades.
   for (auto& h : handles) {
@@ -670,13 +829,30 @@ inline void run_fault_checked(std::uint64_t seed) {
     EXPECT_FALSE(res.fault_summary.empty());
   }
 
-  // Pool arm (fresh recorder and budgets).
+  // Pool arm (fresh recorder and budgets), with the body-cost dimension.
+  // On some seeds a sibling job shares the pool whose bodies throw forever
+  // at one site: it is retried to exhaustion, poisoned and fails, while the
+  // main job completes. On a multi-worker pool a wide no-op job with its
+  // own transient faults rides along, so cap leaves race retries, the
+  // poison and the finalize election.
   {
     ExecutionRecorder rec(g.granules);
     FaultInjector inj(g.granules);
     for (const Site& s : sites) inj.set_throws(s.phase, s.granule, s.throws);
     std::atomic<std::uint64_t> sink{0};
-    rt::BodyTable bodies = make_faulty_bodies(g, rec, sink, inj);
+    rt::BodyTable bodies =
+        make_faulty_bodies(g, rec, sink, inj, {}, pick_body_spin(rng));
+    const bool poison_sibling = pick(0, 3) == 0;
+    ExecutionRecorder prec(g.granules);
+    FaultInjector pinj(g.granules);
+    if (poison_sibling) {
+      const std::size_t p = pick(0, g.phases.size() - 1);
+      pinj.set_throws(p, static_cast<GranuleId>(pick(0, g.granules[p] - 1)),
+                      FaultInjector::kAlways);
+    }
+    std::atomic<std::uint64_t> psink{0};
+    rt::BodyTable pbodies =
+        make_faulty_bodies(g, prec, psink, pinj, {}, pick_body_spin(rng));
 
     pool::PoolConfig pc;
     pc.workers = g.workers;
@@ -689,9 +865,31 @@ inline void run_fault_checked(std::uint64_t seed) {
     ec.max_granule_retries = kBudget;
     ec.retry_backoff_ticks = static_cast<std::uint32_t>(pick(0, 3));
 
+    std::unique_ptr<WideNoOpJob> wide;
+    if (pc.workers > 1) {
+      wide = std::make_unique<WideNoOpJob>(pc.workers);
+      const std::size_t n_wide_sites = pick(0, 3);
+      for (std::size_t i = 0; i < n_wide_sites; ++i)
+        wide->inj.set_throws(
+            0, static_cast<GranuleId>(pick(0, WideNoOpJob::kGranules - 1)),
+            static_cast<std::uint32_t>(pick(1, 2)));
+      wide->exec.max_granule_retries = kBudget;
+      wide->exec.retry_backoff_ticks = ec.retry_backoff_ticks;
+    }
+
     pool::PoolRuntime pool(pc);
     pool::JobHandle h = pool.submit(g.program, bodies, ec);
+    pool::JobHandle ph;
+    if (poison_sibling) ph = pool.submit(g.program, pbodies, ec);
+    pool::JobHandle wh;
+    if (wide != nullptr) wh = pool.submit(wide->program, wide->bodies, wide->exec);
     EXPECT_EQ(h.wait(), pool::JobState::kComplete);
+    if (poison_sibling) {
+      EXPECT_EQ(ph.wait(), pool::JobState::kFailed);
+    }
+    if (wide != nullptr) {
+      EXPECT_EQ(wh.wait(), pool::JobState::kComplete);
+    }
     pool.shutdown();
 
     rec.expect_exactly_once();
@@ -701,17 +899,39 @@ inline void run_fault_checked(std::uint64_t seed) {
     EXPECT_EQ(js.granule_retries, inj.injected());
     EXPECT_EQ(js.granules_poisoned, 0u);
     EXPECT_TRUE(inj.injected() == 0 || !js.fault_summary.empty());
+    pool::JobStats pjs;
+    if (poison_sibling) {
+      pjs = ph.stats();
+      prec.expect_at_most_once();
+      EXPECT_EQ(prec.total(), pjs.granules);
+      EXPECT_GE(pjs.granules_poisoned, 1u);
+      EXPECT_EQ(pjs.granule_faults, pinj.injected());
+      EXPECT_FALSE(pjs.fault_summary.empty());
+    }
+    std::uint64_t wide_granules = 0;
+    std::uint64_t wide_faults = 0;
+    if (wide != nullptr) {
+      const pool::JobStats wjs = wh.stats();
+      wide->rec.expect_exactly_once();
+      wide_granules = wjs.granules;
+      wide_faults = wide->inj.injected();
+      EXPECT_EQ(wide_granules, WideNoOpJob::kGranules);
+      EXPECT_EQ(wjs.granule_faults, wide_faults);
+      EXPECT_EQ(wjs.granule_retries, wide_faults);
+    }
     const pool::PoolStats ps = pool.stats();
-    EXPECT_EQ(ps.jobs_completed, 1u);
-    EXPECT_EQ(ps.jobs_failed, 0u);
-    EXPECT_EQ(ps.granules_executed, g.total);
-    EXPECT_EQ(ps.granule_faults, inj.injected())
+    EXPECT_EQ(ps.jobs_completed, wide != nullptr ? 2u : 1u);
+    EXPECT_EQ(ps.jobs_failed, poison_sibling ? 1u : 0u);
+    EXPECT_EQ(ps.granules_executed, g.total + pjs.granules + wide_granules);
+    EXPECT_EQ(ps.granule_faults, inj.injected() + pinj.injected() + wide_faults)
         << "pool worker-side fault total disagrees with injected throws";
-    EXPECT_EQ(ps.granule_retries, inj.injected())
+    EXPECT_EQ(ps.granule_retries,
+              inj.injected() + pjs.granule_retries + wide_faults)
         << "executive-side retry sum disagrees — the two accounting paths "
            "must cross-check";
-    EXPECT_EQ(ps.granules_poisoned, 0u);
+    EXPECT_EQ(ps.granules_poisoned, pjs.granules_poisoned);
     EXPECT_EQ(ps.watchdog_flags, 0u);
+    cap_tally().add(ps, 1 + (poison_sibling ? 1 : 0) + (wide != nullptr ? 1 : 0));
   }
 }
 
