@@ -3,7 +3,8 @@
 // google-benchmark microbenchmarks of the executive's primitive operations,
 // supporting the T3 management-ratio accounting: descriptor pool churn,
 // waiting-queue and conflict-ring operations, carving, composite-map
-// construction and counter updates, and a full request/complete cycle.
+// construction and counter updates, a full request/complete cycle, and the
+// dispatch layer's refill + drain loop on top of it.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -11,7 +12,9 @@
 #include "core/enablement.hpp"
 #include "core/executive.hpp"
 #include "core/range_set.hpp"
+#include "core/sharded_executive.hpp"
 #include "core/waiting_queue.hpp"
+#include "sched/dispatcher.hpp"
 
 namespace pax {
 namespace {
@@ -169,6 +172,48 @@ void BM_RequestCompleteCycleWithIdentityOverlap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RequestCompleteCycleWithIdentityOverlap);
+
+void BM_DispatcherRefillDrain(benchmark::State& state) {
+  // The dispatch layer's per-task cost: one worker, one shard, batch 8, and
+  // a 2^16-granule grain-1 phase of no-op bodies driven through
+  // Dispatcher::refill + drain_local until the program finishes. Read
+  // against BM_RequestCompleteCycle (the executive alone), time_per_task
+  // splits executive cost from dispatch cost, so a per-task cost added to
+  // either layer shows up here.
+  const GranuleId n = 1 << 16;
+  PhaseProgram prog;
+  const PhaseId p = prog.define_phase(make_phase("p", n));
+  prog.dispatch(p);
+  prog.halt();
+  ExecConfig cfg;
+  cfg.grain = 1;
+  const ShardConfig shards{.shards = 1, .workers = 1, .batch = sched::kDefaultBatch};
+  rt::BodyTable bodies;
+  bodies.set(p, [](GranuleRange, WorkerId) {});
+  std::vector<Ticket> done;
+  std::uint64_t tasks = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sched::Dispatcher d({.workers = 1, .batch = sched::kDefaultBatch});
+    ShardedExecutive ex(prog, cfg, CostModel::free_of_charge(), shards);
+    ex.start();
+    done.clear();
+    done.reserve(d.capacity());
+    sched::BodyLoopStats stats;
+    state.ResumeTiming();
+    while (!ex.finished()) {
+      d.refill(ex, 0, done);
+      d.drain_local(bodies, 0, done, stats);
+    }
+    benchmark::DoNotOptimize(stats);
+    tasks += stats.tasks;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(tasks));
+  state.counters["time_per_task"] = benchmark::Counter(
+      static_cast<double>(tasks),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DispatcherRefillDrain)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pax

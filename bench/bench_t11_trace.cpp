@@ -22,7 +22,8 @@
 //      (end - begin) over each worker's exec records reproduces that
 //      worker's RtResult busy nanoseconds bit for bit, and the granules
 //      covered by exec records equal granules_executed — the dispatch layer
-//      stamps records from the same clock reads that feed the accounting.
+//      chains the records' stamps within a drain, so they tile the drain
+//      span that feeds the accounting.
 //
 // `--trace <path>` additionally exports the gate-3 run as Chrome trace JSON
 // (loadable in ui.perfetto.dev); the CI gate job validates a sample with

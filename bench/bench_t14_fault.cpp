@@ -11,8 +11,8 @@
 //      once, then succeeds on retry) stays >= 0.9x the fault-free run — the
 //      containment machinery costs overlap, not collapse;
 //   2. the fault-free warm path stays at the t10 allocation bar: the barrier
-//      (try/catch + per-worker fault buffers + watchdog exec cells) must not
-//      put heap traffic or measurable cost back into the handout loop;
+//      (try/catch + per-worker fault buffers + watchdog sequence cells) must
+//      not put heap traffic or measurable cost back into the handout loop;
 //   3. every injected fault is accounted: faults == injected throws,
 //      retries == faults, zero poisoned granules, zero failed jobs, zero
 //      process aborts — and the retry work-inflation is reported (busy-time

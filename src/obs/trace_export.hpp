@@ -32,8 +32,9 @@ namespace pax::obs {
 /// Per-worker busy nanoseconds summed from matched exec begin/end pairs in
 /// each worker's ring (index == worker id). With zero drops this equals the
 /// runtime's own per-worker busy accounting *exactly*, because the dispatch
-/// layer stamps the records from the same two clock reads it feeds the
-/// accounting — the identity bench_t11_trace and test_obs check.
+/// layer chains the stamps within a drain (each exec-begin is the previous
+/// exec-end, or the drain's start), so the records tile the drain span it
+/// adds to busy — the identity bench_t11_trace and test_obs check.
 [[nodiscard]] std::vector<std::uint64_t> busy_ns_by_worker(
     const TraceBuffer& buf);
 

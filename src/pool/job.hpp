@@ -98,7 +98,8 @@ struct Job {
         bodies(bodies_in),
         dispatcher(dispatch),
         exec(program, config, costs, shard_config),
-        submitted_at(std::chrono::steady_clock::now()) {}
+        submitted_at(std::chrono::steady_clock::now()),
+        watch(dispatch.workers) {}
 
   const std::uint64_t id;
   const int priority;
@@ -180,6 +181,19 @@ struct Job {
   std::uint64_t period_control_ns PAX_GUARDED_BY(mu) = 0;
   /// The cap latched at least once (counts the job in pool.jobs_capped).
   bool was_capped PAX_GUARDED_BY(mu) = false;
+
+  // --- stuck-granule watchdog (DESIGN.md §15) -----------------------------
+  /// The last odd value the watchdog saw in one worker's body sequence cell
+  /// (0 = none yet) and the poll time that first saw it. Values never
+  /// repeat, so a new body always reads as a new value.
+  struct BodySample {
+    std::uint64_t seq = 0;
+    std::uint64_t since_ns = 0;
+  };
+  /// One sample per pool worker. Only the watchdog thread touches it (the
+  /// job's publication under the pool mutex orders the construction), so
+  /// it needs no guard.
+  std::vector<BodySample> watch;
 
   /// Refresh the pick probe from the executive census and the local queues;
   /// true when it flipped from not-runnable to runnable — only then can a

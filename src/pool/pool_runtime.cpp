@@ -614,11 +614,17 @@ void PoolRuntime::watchdog_main() {
         continue;
       const auto bound = static_cast<std::uint64_t>(job->granule_timeout.count());
       for (WorkerId w = 0; w < config_.workers; ++w) {
-        // A non-zero cell means worker w is inside a body of this job right
-        // now (the job's dispatcher owns the cell; it is cleared on body
-        // exit). Relaxed staleness only delays a flag by one poll.
-        const std::uint64_t b = job->dispatcher.exec_begin_ns(w);
-        if (b != 0 && now > b && now - b > bound) {
+        // An odd sequence number means worker w is inside a body of this job
+        // (the job's dispatcher owns the cell). The same odd value across
+        // polls is the same body, so it has run at least since the poll that
+        // first saw it: a body shorter than the timeout is never flagged,
+        // and a stuck one is flagged within the timeout plus two polls.
+        const std::uint64_t seq = job->dispatcher.body_seq(w);
+        if ((seq & 1u) == 0) continue;  // not inside a body
+        detail::Job::BodySample& seen = job->watch[w];
+        if (seq != seen.seq) {
+          seen = {.seq = seq, .since_ns = now};
+        } else if (now - seen.since_ns > bound) {
           watchdog_escalate(job, w);
           break;
         }

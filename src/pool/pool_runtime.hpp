@@ -164,8 +164,10 @@ class PoolRuntime {
   void trace_event(WorkerId w, std::uint64_t job_id, obs::TraceKind kind);
 
   /// Stuck-granule watchdog (DESIGN.md §15): samples each timeout-carrying
-  /// job's per-worker exec-begin cells (Dispatcher::exec_begin_ns) and
-  /// escalates overruns. Holds wd_mu_ only while sleeping — never across an
+  /// job's per-worker body sequence cells (Dispatcher::body_seq), keeps per
+  /// job and worker the last odd value seen and when it was first seen
+  /// (Job::watch), and escalates once one value has been seen for longer
+  /// than granule_timeout. Holds wd_mu_ only while sleeping — never across an
   /// escalation, which walks ctl_->mu, then the job mutex, then the job
   /// executive, strictly one at a time (the documented pool lock
   /// discipline; nesting any of them under a kSleep mutex would invert the

@@ -27,7 +27,10 @@ namespace pax::pool {
 struct JobStats {
   std::uint64_t tasks = 0;
   std::uint64_t granules = 0;
-  std::chrono::nanoseconds busy{0};  ///< body wall time summed over workers
+  /// Drain spans summed over workers (BodyLoopStats::busy): body time plus
+  /// the per-task pop and retire bookkeeping between bodies. The residency
+  /// rule's body input (DESIGN.md §7).
+  std::chrono::nanoseconds busy{0};
   /// submit() → first worker adoption (zero while queued / when cancelled).
   std::chrono::nanoseconds queued{0};
   /// submit() → terminal state (still running: submit() → now).
@@ -160,8 +163,8 @@ struct PoolStats {
   /// views equal.
   obs::MetricsSnapshot metrics;
 
-  /// Fraction of total worker wall time spent inside phase bodies (same
-  /// definition as rt::RtResult::utilization()).
+  /// Fraction of total worker wall time spent busy (worker_busy: drain
+  /// spans; same definition as rt::RtResult::utilization()).
   [[nodiscard]] double utilization() const {
     std::chrono::nanoseconds busy{0}, wall{0};
     for (auto b : worker_busy) busy += b;

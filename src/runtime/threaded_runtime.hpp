@@ -95,7 +95,9 @@ struct RtConfig {
 /// Wall-clock results of a threaded run.
 struct RtResult {
   std::chrono::nanoseconds wall{0};  ///< run() span, incl. spawn/join
-  std::vector<std::chrono::nanoseconds> worker_busy;  // per worker, in-body time
+  /// Per worker, drain spans (BodyLoopStats::busy): body time plus the
+  /// per-task bookkeeping between bodies.
+  std::vector<std::chrono::nanoseconds> worker_busy;
   /// Per-worker lifetime measured *inside* worker_main (first instruction to
   /// last), so thread spawn/join overhead does not dilute utilization().
   std::vector<std::chrono::nanoseconds> worker_wall;
@@ -174,7 +176,8 @@ struct RtResult {
   /// source compatibility; test_obs pins the two views equal.
   obs::MetricsSnapshot metrics;
 
-  /// Fraction of total worker wall-time spent inside phase bodies.
+  /// Fraction of total worker wall-time spent busy (worker_busy: drain
+  /// spans, bodies plus the bookkeeping between them).
   [[nodiscard]] double utilization() const;
 };
 

@@ -108,17 +108,26 @@ void Dispatcher::drain_local(const rt::BodyTable& bodies, WorkerId w,
                              std::vector<Ticket>& done, BodyLoopStats& stats) {
   Assignment a;
   std::vector<GranuleFault>& faults = faults_[w];
-  while (done.size() + faults.size() < capacity_ && queues_[w]->pop(a)) {
-    const auto t0 = std::chrono::steady_clock::now();
-    // Watchdog cell: begin stamp before the body, cleared after. Relaxed —
-    // the watchdog's sample is a heuristic staleness probe, and the cell is
-    // this worker's own cache line.
-    exec_cells_[w].begin_ns.store(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                t0.time_since_epoch())
-                .count()),
-        std::memory_order_relaxed);
+  auto next = [&] {
+    return done.size() + faults.size() < capacity_ && queues_[w]->pop(a);
+  };
+  if (!next()) return;
+  obs::TraceRing* ring =
+      config_.trace != nullptr ? &config_.trace->ring(w) : nullptr;
+  // The watchdog cell is written only by this worker, so the sequence lives
+  // in a register and the cell takes two relaxed stores per task: odd
+  // before the body, even after it. Relaxed — the watchdog's sample is a
+  // heuristic staleness probe, and the cell is this worker's own line.
+  std::atomic<std::uint64_t>& seq_cell = exec_cells_[w].seq;
+  std::uint64_t seq = seq_cell.load(std::memory_order_relaxed);
+  // Busy is the drain's span, not a sum of per-body spans: one clock read
+  // here and one at the end. With tracing on, the one read after each body
+  // both closes that task's exec record and opens the next one's, so the
+  // records tile [start, last end] exactly and sum to the busy added.
+  const std::uint64_t start = obs::trace_now_ns();
+  std::uint64_t stamp = start;
+  do {
+    seq_cell.store(++seq, std::memory_order_relaxed);
     bool ok = true;
     // The exception barrier (DESIGN.md §15). Only the body call is inside
     // the try: queue/stats manipulation must never be attributed to a user
@@ -135,9 +144,25 @@ void Dispatcher::drain_local(const rt::BodyTable& bodies, WorkerId w,
       ok = false;
       record_fault(w, a, "unknown exception in phase body");
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    exec_cells_[w].begin_ns.store(0, std::memory_order_relaxed);
-    stats.busy += std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0);
+    seq_cell.store(++seq, std::memory_order_relaxed);
+    if (ring != nullptr) {
+      // Both records are emitted after the body, so tracing never runs
+      // inside it; bench_t11 and test_obs pin the busy identity.
+      const std::uint64_t begin = stamp;
+      stamp = obs::trace_now_ns();
+      obs::TraceRecord r;
+      r.job = config_.trace_job;
+      r.range = a.range;
+      r.phase = a.phase;
+      r.aux = static_cast<std::uint32_t>(a.range.size());
+      r.worker = static_cast<std::uint16_t>(w);
+      r.ts_ns = begin;
+      r.kind = obs::TraceKind::kExecBegin;
+      ring->emit(r);
+      r.ts_ns = stamp;
+      r.kind = obs::TraceKind::kExecEnd;
+      ring->emit(r);
+    }
     if (ok) {
       stats.granules += a.range.size();
       ++stats.tasks;
@@ -145,33 +170,9 @@ void Dispatcher::drain_local(const rt::BodyTable& bodies, WorkerId w,
     } else {
       ++stats.faulted;
     }
-    if (config_.trace != nullptr) {
-      // Both records stamp from t0/t1 — the same reads that feed stats.busy
-      // — and both are emitted after the body, so tracing perturbs neither
-      // the busy measure nor the body itself. Exact consequence: with zero
-      // ring drops, summing (end - begin) over a worker's ring reproduces
-      // that worker's busy nanoseconds bit for bit (bench_t11 checks this).
-      obs::TraceRecord r;
-      r.job = config_.trace_job;
-      r.range = a.range;
-      r.phase = a.phase;
-      r.aux = static_cast<std::uint32_t>(a.range.size());
-      r.worker = static_cast<std::uint16_t>(w);
-      r.ts_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              t0.time_since_epoch())
-              .count());
-      r.kind = obs::TraceKind::kExecBegin;
-      obs::TraceRing& ring = config_.trace->ring(w);
-      ring.emit(r);
-      r.ts_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              t1.time_since_epoch())
-              .count());
-      r.kind = obs::TraceKind::kExecEnd;
-      ring.emit(r);
-    }
-  }
+  } while (next());
+  const std::uint64_t stop = ring != nullptr ? stamp : obs::trace_now_ns();
+  stats.busy += std::chrono::nanoseconds{stop - start};
 }
 
 std::size_t Dispatcher::try_steal(WorkerId w) {

@@ -64,10 +64,10 @@ struct DispatchConfig {
   bool steal = true;
   /// Steal-rate signal halves the effective grain during rundown.
   bool adaptive_grain = true;
-  /// Optional trace buffer (non-owning; null = off). drain_local stamps its
-  /// exec begin/end records from the SAME two clock reads that feed
-  /// BodyLoopStats::busy — tracing adds no clock call to the body loop and
-  /// the trace-vs-result busy sums match exactly (DESIGN.md §12).
+  /// Optional trace buffer (non-owning; null = off). With tracing on,
+  /// drain_local reads the clock once after each body and chains the stamps
+  /// (a task's exec-begin is the previous task's exec-end, or the drain's
+  /// start), so the trace-vs-result busy sums match exactly (DESIGN.md §12).
   obs::TraceBuffer* trace = nullptr;
   /// Job lane tag on emitted records (the pool sets its job id here).
   std::uint64_t trace_job = obs::kNoTraceJob;
@@ -81,7 +81,10 @@ struct DispatchConfig {
 
 /// Per-worker (or per-job) execution accounting accumulated by drain_local.
 struct BodyLoopStats {
-  std::chrono::nanoseconds busy{0};  ///< wall time inside phase bodies
+  /// Sum of drain spans: each drain_local that pops work adds the time from
+  /// its first pop to its end, so the pop and retire bookkeeping between
+  /// bodies counts as busy and no body reads the clock (DESIGN.md §12).
+  std::chrono::nanoseconds busy{0};
   std::uint64_t tasks = 0;
   std::uint64_t granules = 0;  ///< granules completed (faulted ones excluded)
   std::uint64_t faulted = 0;   ///< bodies that threw (caught by the barrier)
@@ -136,16 +139,19 @@ class Dispatcher {
   }
 
   /// Execute everything currently in `w`'s local queue — outside any
-  /// executive lock — timing each body and queueing tickets on `done` for
-  /// the next refill's retire. Stops early once `done` reaches the queue
-  /// capacity so retirement (and the enablements it fires) is never deferred
-  /// past one queue's worth of work.
+  /// executive lock — queueing tickets on `done` for the next refill's
+  /// retire. Stops early once `done` reaches the queue capacity so
+  /// retirement (and the enablements it fires) is never deferred past one
+  /// queue's worth of work. Times the drain, not each body: one clock read
+  /// at the first pop and one at the end feed `stats.busy` (with tracing
+  /// on, one read after each body instead), and a drain that pops nothing
+  /// reads no clock and adds no busy.
   ///
   /// Exception barrier (DESIGN.md §15): a throwing phase body does not kill
   /// the process. The barrier catches, diverts the ticket into `w`'s fault
   /// buffer (never onto `done` — a faulted ticket must go through
   /// ExecutiveCore::fail, not complete), and keeps draining. The no-fault
-  /// path pays only the untaken try: no allocation, no extra clock read.
+  /// path pays only the untaken try: no allocation, no clock read.
   void drain_local(const rt::BodyTable& bodies, WorkerId w,
                    std::vector<Ticket>& done, BodyLoopStats& stats);
 
@@ -158,12 +164,13 @@ class Dispatcher {
     return faults_[w];
   }
 
-  /// Steady-clock ns at which worker `w` entered the phase body it is
-  /// currently executing, or 0 when it is not inside one. Relaxed sampling
-  /// cell for the stuck-granule watchdog; each worker owns its own cache
-  /// line, so the two stores per task cost the body loop nothing.
-  [[nodiscard]] std::uint64_t exec_begin_ns(WorkerId w) const {
-    return exec_cells_[w].begin_ns.load(std::memory_order_relaxed);
+  /// Worker `w`'s body sequence number in this dispatcher: odd while it is
+  /// inside a phase body, even otherwise, advancing by two per body (a
+  /// throwing body included). Relaxed sampling cell for the stuck-granule
+  /// watchdog, which flags a job once the same odd value outlives the
+  /// job's granule_timeout (DESIGN.md §15).
+  [[nodiscard]] std::uint64_t body_seq(WorkerId w) const {
+    return exec_cells_[w].seq.load(std::memory_order_relaxed);
   }
 
   /// Rundown stealing: move a FIFO range from the most-loaded peer queue
@@ -195,10 +202,11 @@ class Dispatcher {
   /// preallocated buffer and emit the kGranuleFault instant.
   void record_fault(WorkerId w, const Assignment& a, const char* what);
 
-  /// One watchdog sampling cell per worker; alignas keeps each worker's
-  /// relaxed stores on a private cache line.
+  /// One watchdog sampling cell per worker, written only by its worker
+  /// (two relaxed stores per task, no clock read); alignas keeps those
+  /// stores on a private cache line.
   struct alignas(64) ExecCell {
-    std::atomic<std::uint64_t> begin_ns{0};
+    std::atomic<std::uint64_t> seq{0};
   };
 
   DispatchConfig config_;
@@ -213,7 +221,7 @@ class Dispatcher {
   std::vector<std::vector<Assignment>> scratch_;
   /// Worker-private fault buffers (same ownership rule as scratch_).
   std::vector<std::vector<GranuleFault>> faults_;
-  /// Watchdog sampling cells (see exec_begin_ns).
+  /// Watchdog sampling cells (see body_seq).
   std::unique_ptr<ExecCell[]> exec_cells_;
 
   // Steal-rate signal: over a window of productive acquisitions (refills

@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pool/pool_runtime.hpp"
@@ -143,22 +144,40 @@ TEST_P(FaultEngine, MapFnThrowDegradesEdgeAndCompletes) {
   PhaseProgram prog;
   const PhaseId a = prog.define_phase(make_phase("a", 32).writes("X"));
   const PhaseId b = prog.define_phase(make_phase("b", 32).reads("X"));
+  std::atomic<std::uint32_t> map_calls{0};
   EnableClause clause;
   clause.successor_name = "b";
   clause.kind = MappingKind::kReverseIndirect;
-  clause.indirection.requires_of = [](GranuleId, std::vector<GranuleId>&) {
+  clause.indirection.requires_of = [&map_calls](GranuleId,
+                                                std::vector<GranuleId>&) {
+    map_calls.fetch_add(1, std::memory_order_release);
     throw std::runtime_error("map callback exploded");
   };
   prog.dispatch(a, {clause});
   prog.dispatch(b);
   prog.halt();
 
+  // The edge is wired in start(), but its map is built as idle work: if
+  // all of a retired first, a's completion would release b wholesale and
+  // never call the map. So a's granule 0 waits until the map callback has
+  // been entered. a cannot complete before that, and the workers not
+  // holding granule 0 are free to run the idle work. The wait is bounded,
+  // so a broken gate fails the test instead of hanging it.
   std::atomic<std::uint64_t> executed{0};
   rt::BodyTable bodies;
-  for (PhaseId p : {a, b})
-    bodies.set(p, [&executed](GranuleRange r, WorkerId) {
-      executed.fetch_add(r.size(), std::memory_order_relaxed);
-    });
+  bodies.set(a, [&executed, &map_calls](GranuleRange r, WorkerId) {
+    if (r.lo == 0) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds{10};
+      while (map_calls.load(std::memory_order_acquire) == 0 &&
+             std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::microseconds{50});
+    }
+    executed.fetch_add(r.size(), std::memory_order_relaxed);
+  });
+  bodies.set(b, [&executed](GranuleRange r, WorkerId) {
+    executed.fetch_add(r.size(), std::memory_order_relaxed);
+  });
   rt::RtConfig rc;
   rc.workers = 3;
   rc.lockfree = lockfree();
@@ -349,6 +368,34 @@ TEST_P(FaultEngine, WatchdogFlagsStuckGranule) {
   EXPECT_EQ(ps.jobs_failed, 1u);
   EXPECT_EQ(ps.watchdog_flags, 1u);
   EXPECT_EQ(ps.metrics.value_of("fault.watchdog_flags"), 1u);
+}
+
+TEST_P(FaultEngine, WatchdogNeverFlagsBodiesShorterThanTheTimeout) {
+  // 64 bodies of 5 ms on 2 workers under a 25 ms timeout. A drain runs up
+  // to a local queue's worth of bodies back to back, far longer than the
+  // timeout, but no single body overstays: the watchdog follows bodies by
+  // sequence number, so it must never flag. A drain-level stamp would. The
+  // 20 ms margin absorbs a late wake-up from the body's sleep (a 2 ms sleep
+  // measured up to 9 ms on a shared 4-vCPU VM).
+  SinglePhase s = make_single_phase(64);
+  std::atomic<std::uint64_t> n{0};
+  rt::BodyTable bodies;
+  bodies.set(s.p, [&n](GranuleRange r, WorkerId) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+    n.fetch_add(r.size(), std::memory_order_relaxed);
+  });
+  pool::PoolConfig pc;
+  pc.workers = 2;
+  pc.lockfree = lockfree();
+  pool::PoolRuntime pool(pc);
+  pool::PoolRuntime::SubmitOptions opts;
+  opts.granule_timeout = std::chrono::milliseconds{25};
+  pool::JobHandle h = pool.submit(s.prog, bodies, ExecConfig{}, opts);
+  EXPECT_EQ(h.wait(), JobState::kComplete);
+  pool.shutdown();
+  EXPECT_EQ(n.load(), 64u);
+  EXPECT_FALSE(h.stats().watchdog_expired);
+  EXPECT_EQ(pool.stats().watchdog_flags, 0u);
 }
 
 TEST_P(FaultEngine, NoTimeoutMeansNoWatchdogFlag) {

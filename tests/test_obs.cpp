@@ -5,7 +5,8 @@
 // against the seeded cross-runtime stress harness — the sum identities the
 // layer promises: with zero drops, the per-worker busy time reconstructed
 // from exec begin/end trace pairs equals the runtime's own accounting
-// *exactly* (the dispatch layer stamps both from the same clock reads), the
+// *exactly* (the dispatch layer chains the exec stamps within a drain, so
+// they tile the drain span it adds to busy), the
 // granules covered by exec-end records equal the granule totals, and every
 // legacy result field equals its metrics-snapshot view. The threaded and
 // pool cases run real worker threads with tracing on, so the TSAN CI matrix
@@ -13,6 +14,7 @@
 // the race detector.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -23,6 +25,7 @@
 #include "obs/trace_export.hpp"
 #include "obs/trace_ring.hpp"
 #include "obs/trace_sink.hpp"
+#include "sched/dispatcher.hpp"
 #include "sim/trace.hpp"
 #include "testing_util.hpp"
 
@@ -236,8 +239,9 @@ TEST(ThreadedTracing, BusyAndGranuleIdentitiesAtZeroDrops) {
     ASSERT_EQ(trace.total_dropped(), 0u);
     EXPECT_GT(trace.total_emitted(), 0u);
 
-    // Busy identity: the dispatcher stamps exec begin/end from the same two
-    // clock reads it feeds the busy accounting, so at zero drops the trace
+    // Busy identity: within a drain each exec-begin is the previous
+    // exec-end (or the drain's start), and the last exec-end closes the
+    // span the drain adds to busy, so at zero drops the trace
     // reconstruction is *exact*, not approximate.
     const std::vector<std::uint64_t> busy = obs::busy_ns_by_worker(trace);
     ASSERT_EQ(busy.size(), g.workers);
@@ -315,6 +319,65 @@ TEST(ThreadedTracing, UntracedRunCarriesMetricsButNoTraceCounters) {
   EXPECT_EQ(res.metrics.value_of("worker.granules"), g.total);
   EXPECT_EQ(res.metrics.find("trace.emitted"), nullptr);
   EXPECT_EQ(res.metrics.find("trace.dropped"), nullptr);
+}
+
+// --- dispatcher: chained exec stamps ----------------------------------------
+
+TEST(DispatcherTracing, ExecStampsChainWithinADrain) {
+  PhaseProgram prog;
+  const PhaseId p = prog.define_phase(make_phase("p", 12).writes("X"));
+  prog.dispatch(p);
+  prog.halt();
+  ExecConfig cfg;
+  cfg.grain = 1;
+  ExecutiveCore core(prog, cfg);
+  core.start();
+
+  TraceBuffer trace(1, {.ring_capacity = kTestRing});
+  sched::Dispatcher d({.workers = 1, .batch = 4, .steal = true,
+                       .adaptive_grain = false, .trace = &trace});
+  rt::BodyTable bodies;
+  bodies.set(p, [](GranuleRange, WorkerId) {});
+
+  std::vector<Ticket> done;
+  sched::BodyLoopStats stats;
+  std::vector<TraceRecord> ring;
+  std::uint64_t drains = 0;
+  while (!core.finished()) {
+    ASSERT_LT(drains, 12u);
+    d.refill(core, 0, done);
+    const std::chrono::nanoseconds before = stats.busy;
+    d.drain_local(bodies, 0, done, stats);
+    ++drains;
+
+    // This drain's exec records: one begin/end pair per task, each begin
+    // equal to the previous end, tiling the busy span the drain added.
+    ring.clear();
+    trace.ring(0).snapshot_into(ring);
+    std::vector<TraceRecord> exec;
+    for (const TraceRecord& r : ring)
+      if (r.kind == TraceKind::kExecBegin || r.kind == TraceKind::kExecEnd)
+        exec.push_back(r);
+    const std::size_t tasks = done.size();
+    ASSERT_GE(exec.size(), 2 * tasks);
+    const std::size_t first = exec.size() - 2 * tasks;
+    std::uint64_t span = 0;
+    for (std::size_t i = first; i < exec.size(); i += 2) {
+      ASSERT_EQ(exec[i].kind, TraceKind::kExecBegin);
+      ASSERT_EQ(exec[i + 1].kind, TraceKind::kExecEnd);
+      EXPECT_LE(exec[i].ts_ns, exec[i + 1].ts_ns);
+      if (i > first) {
+        EXPECT_EQ(exec[i].ts_ns, exec[i - 1].ts_ns);
+      }
+      span += exec[i + 1].ts_ns - exec[i].ts_ns;
+    }
+    EXPECT_EQ(span, static_cast<std::uint64_t>((stats.busy - before).count()));
+  }
+  EXPECT_GT(drains, 1u);
+  EXPECT_EQ(stats.granules, 12u);
+  ASSERT_EQ(trace.total_dropped(), 0u);
+  EXPECT_EQ(obs::busy_ns_by_worker(trace)[0],
+            static_cast<std::uint64_t>(stats.busy.count()));
 }
 
 // --- pool runtime: job-tagged worker-side records ---------------------------

@@ -1,13 +1,15 @@
 // Dispatch-layer tests: local run-queue geometry (owner LIFO / thief FIFO),
 // dispatcher refill-retire edge cases in their new home (empty-batch retire,
-// refill returning zero while peers hold work, adaptive grain), threaded and
-// pool integration with stealing on, and cancellation observed mid-batch.
-// The suite runs in the TSAN CI matrix.
+// refill returning zero while peers hold work, adaptive grain), the drain's
+// busy span and watchdog sequence cell, threaded and pool integration with
+// stealing on, and cancellation observed mid-batch. The suite runs in the
+// TSAN CI matrix.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <stdexcept>
 #include <thread>
 
 #include "pool/pool_runtime.hpp"
@@ -129,6 +131,81 @@ TEST(Dispatcher, EmptyBatchRetireIsANoOp) {
   const sched::RefillOutcome second = d.refill(core, 0, done);
   EXPECT_EQ(second.refilled, 0u);
   EXPECT_EQ(d.occupancy(0), 4u);
+}
+
+TEST(Dispatcher, DrainBusySpansEveryBodyAndNoMoreThanTheCall) {
+  SinglePhase s = make_single_phase(8);
+  ExecConfig cfg;
+  cfg.grain = 1;
+  ExecutiveCore core(s.prog, cfg);
+  core.start();
+
+  // Each body times itself between two clock reads of its own.
+  std::chrono::nanoseconds self{0};
+  rt::BodyTable bodies;
+  bodies.set(s.p, [&self](GranuleRange, WorkerId) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto t1 = t0;
+    while (t1 - t0 < std::chrono::microseconds{20})
+      t1 = std::chrono::steady_clock::now();
+    self += t1 - t0;
+  });
+
+  sched::Dispatcher d({/*workers=*/1, /*batch=*/8, true, false});
+  std::vector<Ticket> done;
+  sched::BodyLoopStats stats;
+  // A drain that pops nothing adds no busy.
+  d.drain_local(bodies, 0, done, stats);
+  EXPECT_EQ(stats.busy.count(), 0);
+  EXPECT_EQ(stats.tasks, 0u);
+
+  ASSERT_EQ(d.refill(core, 0, done).refilled, 8u);
+  const auto c0 = std::chrono::steady_clock::now();
+  d.drain_local(bodies, 0, done, stats);
+  const auto c1 = std::chrono::steady_clock::now();
+  EXPECT_EQ(stats.tasks, 8u);
+  EXPECT_EQ(done.size(), 8u);
+  // Busy is the drain's span: it covers every body and the bookkeeping
+  // between them, and never exceeds the call that contains it.
+  EXPECT_GE(stats.busy, self);
+  EXPECT_LE(stats.busy, c1 - c0);
+
+  // Queue dry: another drain pops nothing and leaves busy alone.
+  const std::chrono::nanoseconds before = stats.busy;
+  d.drain_local(bodies, 0, done, stats);
+  EXPECT_EQ(stats.busy, before);
+  EXPECT_EQ(stats.tasks, 8u);
+}
+
+TEST(Dispatcher, BodySequenceIsOddInsideABodyAndEvenAfterTheDrain) {
+  SinglePhase s = make_single_phase(4);
+  ExecConfig cfg;
+  cfg.grain = 1;
+  ExecutiveCore core(s.prog, cfg);
+  core.start();
+
+  sched::Dispatcher d({/*workers=*/2, /*batch=*/8, true, false});
+  std::vector<std::uint64_t> seen;
+  rt::BodyTable bodies;
+  bodies.set(s.p, [&d, &seen](GranuleRange r, WorkerId w) {
+    seen.push_back(d.body_seq(w));
+    if (r.lo == 3) throw std::runtime_error("last body throws");
+  });
+  EXPECT_EQ(d.body_seq(0), 0u);
+
+  std::vector<Ticket> done;
+  ASSERT_EQ(d.refill(core, 0, done).refilled, 4u);
+  sched::BodyLoopStats stats;
+  d.drain_local(bodies, 0, done, stats);
+  // Owner pops follow the handout order, so granule 3's body runs last:
+  // the cell is even after the drain even though that body threw.
+  ASSERT_EQ(seen.size(), 4u);
+  for (std::size_t i = 0; i < seen.size(); ++i)
+    EXPECT_EQ(seen[i], 2 * i + 1) << "body " << i;
+  EXPECT_EQ(d.body_seq(0), 8u);
+  EXPECT_EQ(stats.faulted, 1u);
+  EXPECT_EQ(d.fault_buffer(0).size(), 1u);
+  EXPECT_EQ(d.body_seq(1), 0u);  // a worker's cell is its own
 }
 
 TEST(Dispatcher, RefillPreservesExecutiveHandoutOrder) {
