@@ -6,8 +6,10 @@
 // solver), and synthetic tail-heavy loops, submitted with different
 // priorities while earlier jobs are still running. One queued job is
 // cancelled mid-stream. Per-job stats print as the jobs finish; pool totals
-// (utilization, rotations, and the per-job-sum cross-check) print at
-// shutdown.
+// (utilization, rotations, the per-job-sum cross-check, and the residency
+// and preemption counters) print at shutdown. The SOR solves outrank the
+// CASPER jobs, so when they arrive with every worker busy, a spare CASPER
+// resident leaves at its next round boundary to start them.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -204,6 +206,15 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ps.granules_executed),
       static_cast<unsigned long long>(job_sum),
       static_cast<unsigned long long>(ps.rotations), 100.0 * ps.utilization());
+  // Residency and preemption rules (DESIGN.md §7): jobs capped at one
+  // resident, residents shed by a cap, and spares that left at a round
+  // boundary to answer a higher-priority arrival.
+  std::printf(
+      "pool: %llu jobs capped, %llu cap leaves, %llu preempt leaves\n",
+      static_cast<unsigned long long>(ps.metrics.value_of("pool.jobs_capped")),
+      static_cast<unsigned long long>(ps.metrics.value_of("pool.cap_leaves")),
+      static_cast<unsigned long long>(
+          ps.metrics.value_of("pool.preempt_leaves")));
   ok &= job_sum == ps.granules_executed;
   if (trace_path != nullptr) {
     obs::write_chrome_trace(trace, trace_path);

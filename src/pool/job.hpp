@@ -163,9 +163,15 @@ struct Job {
   // --- residency rule (DESIGN.md §7) ---------------------------------------
   /// Workers resident on this job: +1 at adoption and -1 at release, both
   /// under the pool mutex, so the pick filter and the sleep predicate read
-  /// it exactly. A cap leave (try_leave) lowers it outside the pool mutex,
-  /// but never below 1, so it never changes what the filter answers.
+  /// it exactly. A cap leave (try_leave) lowers it outside the pool mutex
+  /// and a preemption leave (PoolCtl::claim_arrival_locked) under it, both
+  /// never below 1, so neither changes what the filter answers.
   std::atomic<std::uint32_t> residents{0};
+  /// A spare resident of another job is leaving to answer this job's
+  /// arrival (PoolCtl::claim_arrival_locked), so no other spare answers it
+  /// too. Set, and cleared when a worker adopts the job, under the pool
+  /// mutex; relaxed for the same reason as `residents`.
+  std::atomic<bool> claimed{false};
   /// Set while the job is management-bound (judge_cap_locked): it then
   /// admits one resident. Relaxed: the pick filter reads it under the pool
   /// mutex, and a lift wakes the pool through that mutex.
@@ -278,19 +284,31 @@ struct Job {
     return first ? CapChange::kLatched : CapChange::kNone;
   }
 
-  /// A resident of a capped job gives up its place while another worker
-  /// holds one. The CAS never takes the count below 1, so exactly one
-  /// resident stays however many try at once. A finished job sheds nobody:
-  /// its adopters are there for the finalize election.
-  [[nodiscard]] bool try_leave() {
-    if (!capped.load(std::memory_order_relaxed) || exec.finished())
-      return false;
+  /// Give up one place while another worker holds one. The CAS never takes
+  /// the count below 1, so exactly one resident stays however many try at
+  /// once.
+  [[nodiscard]] bool shed_resident() {
     std::uint32_t r = residents.load(std::memory_order_relaxed);
     while (r > 1) {
       if (residents.compare_exchange_weak(r, r - 1, std::memory_order_relaxed))
         return true;
     }
     return false;
+  }
+
+  /// A resident of a capped job gives up its place (shed_resident). A
+  /// finished job sheds nobody: its adopters are there for the finalize
+  /// election.
+  [[nodiscard]] bool try_leave() {
+    if (!capped.load(std::memory_order_relaxed) || exec.finished())
+      return false;
+    return shed_resident();
+  }
+
+  /// The policy comparator's snapshot of this job (cheap atomic probes).
+  [[nodiscard]] JobView view() const {
+    return {id, priority, granules_done.load(std::memory_order_relaxed),
+            deadline_view_ns()};
   }
 
   [[nodiscard]] bool has_deadline() const { return deadline != kNoDeadlineTp; }
@@ -348,6 +366,10 @@ struct PoolCtl {
   std::vector<std::shared_ptr<Job>> jobs PAX_GUARDED_BY(mu);  ///< non-terminal
   std::uint64_t next_id PAX_GUARDED_BY(mu) = 0;
   bool stop PAX_GUARDED_BY(mu) = false;
+  /// Admitted submits so far: bumped under mu as the job joins `jobs`, read
+  /// relaxed once per round by residents that may answer an arrival
+  /// (claim_arrival_locked), so the warm path touches no lock for it.
+  std::atomic<std::uint64_t> arrivals{0};
 
   // Live job counters (valid mid-run).
   std::uint64_t jobs_submitted PAX_GUARDED_BY(mu) = 0;
@@ -419,15 +441,34 @@ struct PoolCtl {
     JobView best_view;
     for (const auto& j : jobs) {
       if (!j->pickable()) continue;
-      const JobView v{j->id, j->priority,
-                      j->granules_done.load(std::memory_order_relaxed),
-                      j->deadline_view_ns()};
+      const JobView v = j->view();
       if (best == nullptr || schedules_before(v, best_view, policy)) {
         best = j;
         best_view = v;
       }
     }
     return best;
+  }
+
+  /// The preemption rule (DESIGN.md §7): a resident of `own` answers a job
+  /// that ranks ahead of `own` under `policy`, is pickable, has no resident
+  /// and is unclaimed, by giving up its place in `own` (never the last one,
+  /// Job::shed_resident) and claiming the job, in one section under mu. So
+  /// at most one spare answers each arrival until a worker adopts it.
+  /// True when the caller gave up its place and must leave `own`.
+  [[nodiscard]] bool claim_arrival_locked(Job& own, SchedPolicy policy)
+      PAX_REQUIRES(mu) {
+    const JobView mine = own.view();
+    for (const auto& j : jobs) {
+      if (j->claimed.load(std::memory_order_relaxed) ||
+          j->residents.load(std::memory_order_relaxed) != 0 ||
+          !j->pickable() || !schedules_before(j->view(), mine, policy))
+        continue;
+      if (!own.shed_resident()) return false;
+      j->claimed.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
   }
 
   /// Erase `job` from the runnable list if present.

@@ -34,11 +34,13 @@ PoolRuntime::PoolRuntime(PoolConfig config)
   mid_.rotations = metrics_.register_counter("worker.rotations");
   mid_.job_locks = metrics_.register_counter("worker.job_lock_acquisitions");
   mid_.faulted = metrics_.register_counter("worker.faulted");
-  // Residency rule (DESIGN.md §7), added live by the worker that latched or
-  // lifted the cap or left: all three events are rare, so no local staging.
+  // Residency and preemption rules (DESIGN.md §7), added live by the worker
+  // that latched or lifted the cap or left: all four events are rare, so no
+  // local staging.
   mid_.jobs_capped = metrics_.register_counter("pool.jobs_capped");
   mid_.cap_lifts = metrics_.register_counter("pool.cap_lifts");
   mid_.cap_leaves = metrics_.register_counter("pool.cap_leaves");
+  mid_.preempt_leaves = metrics_.register_counter("pool.preempt_leaves");
   metrics_.bind(config_.workers);
   workers_.reserve(config_.workers);
   for (WorkerId w = 0; w < config_.workers; ++w)
@@ -104,6 +106,7 @@ JobHandle PoolRuntime::submit(const PhaseProgram& program,
       rejected = true;
     } else {
       ctl_->jobs.push_back(job);
+      ctl_->arrivals.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (rejected) {
@@ -253,9 +256,17 @@ void PoolRuntime::worker_main(WorkerId id) {
   // pool mutex. `released_left`: a cap leave already took it off the count.
   std::shared_ptr<detail::Job> released;
   bool released_left = false;
-  // Over the resident job's cap: already uncounted; retires and drains what
-  // it holds, then leaves without refilling or stealing (DESIGN.md §7).
+  // Over the resident job's cap, or answering an arrival: already uncounted;
+  // retires and drains what it holds, then leaves without refilling or
+  // stealing (DESIGN.md §7).
   bool leaving = false;
+  // Preemption rule (DESIGN.md §7): only the policies that rank by urgency
+  // fixed at submit, and only with a peer to stay behind. `seen_arrivals`
+  // is the pool's arrival count when this worker last looked.
+  const bool answers_arrivals =
+      config_.workers > 1 && (config_.policy == SchedPolicy::kDeadline ||
+                              config_.policy == SchedPolicy::kPriority);
+  std::uint64_t seen_arrivals = 0;
 
   // Fault hand-off (DESIGN.md §15): drain_local's exception barrier parks
   // fault records in the job dispatcher's per-worker buffer; report them
@@ -301,6 +312,10 @@ void PoolRuntime::worker_main(WorkerId id) {
         continue;  // stale probe; re-evaluate
       }
       job->residents.fetch_add(1, std::memory_order_relaxed);
+      job->claimed.store(false, std::memory_order_relaxed);
+      // The pick just ranked every admitted job, so no arrival so far can
+      // outrank this one while it is still waiting.
+      seen_arrivals = ctl_->arrivals.load(std::memory_order_relaxed);
       leaving = false;
       if (job->id != last_resident) {
         if (last_resident != kNoJobId) ++rotations;
@@ -377,6 +392,23 @@ void PoolRuntime::worker_main(WorkerId id) {
     if (!leaving && job->try_leave()) {
       leaving = true;
       metrics_.add(mid_.cap_leaves, id, 1);
+    }
+    // A spare resident answers a more urgent arrival at this round boundary
+    // instead of at the job's rundown: it leaves the way a cap leaver does.
+    // One relaxed load per round until something arrives.
+    if (answers_arrivals && !leaving && st == JobState::kRunning) {
+      const std::uint64_t arrived =
+          ctl_->arrivals.load(std::memory_order_relaxed);
+      if (arrived != seen_arrivals &&
+          job->residents.load(std::memory_order_relaxed) > 1 &&
+          !job->exec.finished()) {
+        seen_arrivals = arrived;
+        {
+          RankedLock lock(ctl_->mu);
+          leaving = ctl_->claim_arrival_locked(*job, config_.policy);
+        }
+        if (leaving) metrics_.add(mid_.preempt_leaves, id, 1);
+      }
     }
 
     if (st != JobState::kRunning) {

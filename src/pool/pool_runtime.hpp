@@ -10,7 +10,8 @@
 // the batched handoff into a two-level pick:
 //
 //   level 1 — prefer the resident job while its waiting queue is non-empty
-//             (the single-program loop, via the shared sched::Dispatcher);
+//             (the single-program loop, via the shared sched::Dispatcher),
+//             unless a more urgent job arrived (the preemption rule below);
 //   level 2 — when it drains (the rundown signal), rotate to another
 //             runnable job chosen by SchedPolicy, so another program's
 //             granules fill this program's tail.
@@ -18,7 +19,11 @@
 // Both levels obey the residency rule (DESIGN.md §7): a job whose control
 // plane costs more than its bodies admits one resident until its bodies
 // clearly outweigh it again, and the workers it sheds go to other jobs or
-// to sleep.
+// to sleep. Under kDeadline and kPriority a spare resident (one whose job
+// keeps another) also answers an admitted arrival that outranks its job
+// and has no taker yet: at its next round boundary it claims the arrival,
+// finishes its local queue without refilling and leaves like a cap leaver,
+// so an urgent job need not wait for a running job's rundown.
 //
 // Oversubscribing a fixed processor set with independent work sources is the
 // classic rundown cure at this scope (Argentini 2003, virtual processors for
@@ -51,6 +56,11 @@ struct PoolConfig {
   /// up to the local queue capacity of 2x batch. Same default as
   /// RtConfig::batch (sched::kDefaultBatch).
   std::uint32_t batch = sched::kDefaultBatch;
+  /// Which runnable job a rotating worker adopts. Under kDeadline and
+  /// kPriority, which rank by urgency fixed at submit, an arrival that
+  /// outranks a running job also draws one spare resident off it at its
+  /// next round boundary (DESIGN.md §7); never the job's last resident,
+  /// never on a 1-worker pool.
   SchedPolicy policy = SchedPolicy::kFifo;
   /// Executive shards per job (independently-locked granule-handout
   /// partitions; see core/sharded_executive.hpp). kAutoShards = 2x workers
@@ -187,7 +197,8 @@ class PoolRuntime {
   obs::MetricsRegistry metrics_;
   struct MetricIds {
     obs::MetricId tasks, granules, busy_ns, wall_ns, steals, steal_fails,
-        rotations, job_locks, faulted, jobs_capped, cap_lifts, cap_leaves;
+        rotations, job_locks, faulted, jobs_capped, cap_lifts, cap_leaves,
+        preempt_leaves;
   } mid_{};
 
   /// Shared control block (detail::PoolCtl, job.hpp): the pool mutex, the

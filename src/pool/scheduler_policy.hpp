@@ -3,8 +3,10 @@
 // The pool's worker loop is a two-level pick: a worker prefers its resident
 // job while that job's waiting queue is non-empty, and when the queue drains
 // (the rundown signal, now at *program* scope) it rotates to another
-// runnable job. The policy decides only the second level — which job a
-// rotating worker adopts — so it is a pure comparator over a small snapshot
+// runnable job. The policy decides the second level — which job a rotating
+// worker adopts — and, under kDeadline and kPriority, whether an arrival
+// outranks a running job enough to draw a spare resident off it early
+// (DESIGN.md §7). Either way it is a pure comparator over a small snapshot
 // of each job, testable without threads.
 #pragma once
 

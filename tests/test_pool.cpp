@@ -1,6 +1,7 @@
 // Pool runtime tests: K concurrent jobs complete with exact accounting,
 // scheduling policies (including EDF) order rotations as documented, the
-// residency rule caps management-bound jobs at one resident,
+// residency rule caps management-bound jobs at one resident, a spare
+// resident answers a more urgent arrival at its next round boundary,
 // cancel-before-open and true mid-run cancellation on both shard engines,
 // admission control / kRejected, deadline accounting, timed waits, handles
 // that outlive the pool, the done() => stats()-final terminal contract, and
@@ -90,6 +91,10 @@ rt::BodyTable counting_bodies(std::span<const PhaseId> phases,
       counter.fetch_add(r.size(), std::memory_order_relaxed);
     });
   return bodies;
+}
+
+std::uint64_t pool_metric(const PoolRuntime& pool, const char* name) {
+  return pool.stats().metrics.value_of(name);
 }
 
 // --- scheduling policy comparator (pure, no threads) ------------------------
@@ -279,10 +284,17 @@ TEST(PoolCompletion, ManyConcurrentJobsAllCompleteWithExactAccounting) {
 
 // --- scheduling order on a single worker (deterministic) --------------------
 
+/// Body order of a single-worker scenario, and the pool's preemption leaves
+/// (a lone worker has no peer to leave behind, so always 0).
+struct RotationOrder {
+  std::vector<int> order;
+  std::uint64_t preempt_leaves = 0;
+};
+
 /// Submit a gate job that pins the only worker, queue three single-phase
 /// jobs, release the gate, and observe the rotation order by recording body
 /// executions.
-std::vector<int> run_three_jobs_under(SchedPolicy policy) {
+RotationOrder run_three_jobs_under(SchedPolicy policy) {
   SinglePhase gate_prog = make_single_phase(1);
   SinglePhase jobs_prog[3] = {make_single_phase(4), make_single_phase(4),
                               make_single_phase(4)};
@@ -320,21 +332,23 @@ std::vector<int> run_three_jobs_under(SchedPolicy policy) {
   EXPECT_EQ(blocker.wait(), JobState::kComplete);
   for (auto& h : handles) EXPECT_EQ(h.wait(), JobState::kComplete);
   pool.shutdown();
-  return order;
+  return {order, pool_metric(pool, "pool.preempt_leaves")};
 }
 
 TEST(PoolScheduling, PriorityPolicyOrdersRotationsByPriority) {
-  const std::vector<int> order = run_three_jobs_under(SchedPolicy::kPriority);
-  ASSERT_EQ(order.size(), 12u);  // 3 jobs x 4 granules, grain 1
+  const RotationOrder r = run_three_jobs_under(SchedPolicy::kPriority);
+  ASSERT_EQ(r.order.size(), 12u);  // 3 jobs x 4 granules, grain 1
   const std::vector<int> want = {1, 1, 1, 1, 2, 2, 2, 2, 0, 0, 0, 0};
-  EXPECT_EQ(order, want);
+  EXPECT_EQ(r.order, want);
+  EXPECT_EQ(r.preempt_leaves, 0u);
 }
 
 TEST(PoolScheduling, FifoPolicyOrdersRotationsBySubmission) {
-  const std::vector<int> order = run_three_jobs_under(SchedPolicy::kFifo);
-  ASSERT_EQ(order.size(), 12u);
+  const RotationOrder r = run_three_jobs_under(SchedPolicy::kFifo);
+  ASSERT_EQ(r.order.size(), 12u);
   const std::vector<int> want = {0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2};
-  EXPECT_EQ(order, want);
+  EXPECT_EQ(r.order, want);
+  EXPECT_EQ(r.preempt_leaves, 0u);
 }
 
 // --- fair share balance ------------------------------------------------------
@@ -695,6 +709,7 @@ TEST(PoolDeadline, EdfOrdersRotationsByDeadline) {
   ASSERT_EQ(order.size(), 12u);
   const std::vector<int> want = {2, 2, 2, 2, 0, 0, 0, 0, 1, 1, 1, 1};
   EXPECT_EQ(order, want);
+  EXPECT_EQ(pool_metric(pool, "pool.preempt_leaves"), 0u);
 }
 
 // --- timed waits --------------------------------------------------------------
@@ -836,10 +851,6 @@ rt::BodyTable probe_bodies(const std::vector<PhaseId>& phases, JobProbe& probe,
   return bodies;
 }
 
-std::uint64_t pool_metric(const PoolRuntime& pool, const char* name) {
-  return pool.stats().metrics.value_of(name);
-}
-
 /// Poll until the rule has capped `n` jobs or `h` is done.
 void wait_for_capped(const PoolRuntime& pool, std::uint64_t n, JobHandle& h) {
   while (pool_metric(pool, "pool.jobs_capped") < n && !h.done())
@@ -863,9 +874,12 @@ double wall_s() {
 // refill is a control section and every retired granule enables its
 // successor in one, so the control plane outweighs the bodies even with
 // one resident. With no barrier between the phases, a resident seldom runs
-// dry and hands the job to another worker.
+// dry and hands the job to another worker. Wide enough that the capped job
+// runs about 20 ms here: at 2048 it ran about 5 ms, and under ctest -j a
+// preempted test thread or spin job let it finish first in about 1 run in
+// 15 (the residency tests below assert it is still running).
 constexpr std::size_t kChainPhases = 40;
-constexpr GranuleId kChainWidth = 2048;
+constexpr GranuleId kChainWidth = 8192;
 // A body-bound task. Sanitizer builds slow the control plane several-fold
 // but not a wall-clock spin, so the spin grows there to keep the margin.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
@@ -1078,6 +1092,143 @@ TEST(PoolResidency, IdleWorkersSleepWhileACappedJobRunsAlone) {
   // re-probing a job the filter keeps refusing them (about workers x wall).
   EXPECT_LT(cpu, 0.5 * kWorkers * wall)
       << "cpu " << cpu << " s over " << wall << " s of wall";
+}
+
+// --- preemption at a round boundary (DESIGN.md §7) --------------------------
+
+/// A long body-bound job L holds all three workers of a one-shard pool when
+/// a short job U arrives. U is more urgent than L (earlier deadline, higher
+/// priority) unless `urgent` is false. With `cancel`, U's bodies wait for a
+/// gate and U is cancelled as soon as a spare answered it, while the leaver
+/// is normally still draining its local queue.
+struct PreemptScenario {
+  SchedPolicy policy = SchedPolicy::kDeadline;
+  bool urgent = true;
+  bool cancel = false;
+};
+
+struct PreemptOutcome {
+  JobState long_state{};
+  JobState urgent_state{};
+  std::uint64_t long_granules_when_urgent_done = 0;
+  std::uint64_t preempt_leaves = 0;
+};
+
+constexpr GranuleId kLongN = 3000;
+constexpr GranuleId kUrgentN = 32;
+
+PreemptOutcome run_preempt_scenario(const PreemptScenario& sc) {
+  constexpr std::uint32_t kWorkers = 3;
+  SinglePhase long_job = make_single_phase(kLongN);
+  SinglePhase urgent_job = make_single_phase(kUrgentN);
+  JobProbe long_probe({kLongN});
+  JobProbe urgent_probe({kUrgentN});
+  rt::BodyTable long_bodies =
+      probe_bodies({long_job.p}, long_probe, kBodyBoundSpin);
+  std::atomic<bool> gate{!sc.cancel};
+  rt::BodyTable urgent_bodies;
+  urgent_bodies.set(urgent_job.p, [&](GranuleRange r, WorkerId w) {
+    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+    urgent_probe.by_worker[w].tasks.fetch_add(1, std::memory_order_relaxed);
+    urgent_probe.rec.record(0, r);
+  });
+
+  PoolRuntime pool({.workers = kWorkers, .policy = sc.policy, .shards = 1});
+  ExecConfig cfg;
+  cfg.grain = 1;
+  PoolRuntime::SubmitOptions long_opts;
+  long_opts.deadline = std::chrono::seconds{60};
+  PoolRuntime::SubmitOptions urgent_opts;
+  urgent_opts.deadline = std::chrono::seconds{sc.urgent ? 30 : 90};
+  urgent_opts.priority = sc.urgent ? 1 : -1;
+  JobHandle l = pool.submit(long_job.prog, long_bodies, cfg, long_opts);
+  while (long_probe.workers_used() < kWorkers && !l.done())
+    std::this_thread::sleep_for(std::chrono::microseconds{20});
+  EXPECT_FALSE(l.done()) << "L finished before every worker ran it";
+  JobHandle u = pool.submit(urgent_job.prog, urgent_bodies, cfg, urgent_opts);
+
+  PreemptOutcome out;
+  if (sc.cancel) {
+    while (pool_metric(pool, "pool.preempt_leaves") == 0 && !l.done())
+      std::this_thread::sleep_for(std::chrono::microseconds{20});
+    EXPECT_TRUE(u.cancel());
+    gate.store(true, std::memory_order_release);
+  }
+  out.urgent_state = u.wait();
+  out.long_granules_when_urgent_done = l.stats().granules;
+  out.long_state = l.wait();
+  pool.shutdown();
+  out.preempt_leaves = pool_metric(pool, "pool.preempt_leaves");
+
+  long_probe.rec.expect_exactly_once();
+  if (out.urgent_state == JobState::kComplete)
+    urgent_probe.rec.expect_exactly_once();
+  else
+    urgent_probe.rec.expect_at_most_once();
+  // Per-job sums equal the pool totals and the body-side counts.
+  const PoolStats ps = pool.stats();
+  const JobStats ls = l.stats();
+  const JobStats us = u.stats();
+  EXPECT_EQ(ls.granules, kLongN);
+  EXPECT_EQ(us.granules, urgent_probe.rec.total());
+  EXPECT_EQ(ls.tasks, long_probe.total_tasks());
+  EXPECT_EQ(us.tasks, urgent_probe.total_tasks());
+  EXPECT_EQ(ls.granules + us.granules, ps.granules_executed);
+  EXPECT_EQ(ls.tasks + us.tasks, ps.tasks_executed);
+  std::chrono::nanoseconds pool_busy{0};
+  for (auto w : ps.worker_busy) pool_busy += w;
+  EXPECT_EQ(ls.busy + us.busy, pool_busy);
+  return out;
+}
+
+TEST(PoolPreempt, SpareAnswersAnEarlierDeadlineArrival) {
+  const PreemptOutcome o = run_preempt_scenario({});
+  EXPECT_EQ(o.urgent_state, JobState::kComplete);
+  EXPECT_EQ(o.long_state, JobState::kComplete);
+  EXPECT_LT(o.long_granules_when_urgent_done, kLongN / 2)
+      << "the urgent job waited for the long job's rundown";
+  EXPECT_EQ(o.preempt_leaves, 1u);
+}
+
+TEST(PoolPreempt, SpareAnswersAHigherPriorityArrival) {
+  const PreemptOutcome o =
+      run_preempt_scenario({.policy = SchedPolicy::kPriority});
+  EXPECT_EQ(o.urgent_state, JobState::kComplete);
+  EXPECT_LT(o.long_granules_when_urgent_done, kLongN / 2);
+  EXPECT_EQ(o.preempt_leaves, 1u);
+}
+
+// Fair share ranks by progress, so every fresh job would outrank every
+// running one: the rule stays off there.
+TEST(PoolPreempt, FairShareNeverLeaves) {
+  const PreemptOutcome o =
+      run_preempt_scenario({.policy = SchedPolicy::kFairShare});
+  EXPECT_EQ(o.urgent_state, JobState::kComplete);
+  EXPECT_EQ(o.long_state, JobState::kComplete);
+  EXPECT_EQ(o.preempt_leaves, 0u);
+}
+
+TEST(PoolPreempt, LaterDeadlineArrivalWaits) {
+  const PreemptOutcome o = run_preempt_scenario({.urgent = false});
+  EXPECT_EQ(o.urgent_state, JobState::kComplete);
+  EXPECT_EQ(o.long_state, JobState::kComplete);
+  EXPECT_EQ(o.preempt_leaves, 0u);
+}
+
+// The answered job is withdrawn before (normally) or just after the leaver
+// adopts it: it ends cancelled, the long job completes, and the accounting
+// in run_preempt_scenario still adds up. A cancel that lands between the
+// leaver's open and its first refill leaves the job stopped but not yet
+// finalized, and the leaver gives it up with no granule run; its finalize
+// election then needs a taker, and a second spare that has not looked since
+// the arrival may answer it (about 1 run in 8 under TSAN). Nobody answers it
+// a third time: that spare adopts a finished job and finalizes it.
+TEST(PoolPreempt, CancelledArrivalLeavesTheLongJobWhole) {
+  const PreemptOutcome o = run_preempt_scenario({.cancel = true});
+  EXPECT_EQ(o.urgent_state, JobState::kCancelled);
+  EXPECT_EQ(o.long_state, JobState::kComplete);
+  EXPECT_GE(o.preempt_leaves, 1u);
+  EXPECT_LE(o.preempt_leaves, 2u);
 }
 
 // --- handle ergonomics -------------------------------------------------------

@@ -37,20 +37,22 @@ constexpr std::uint64_t kSeedBase = 1000;
 std::uint64_t total_seeds() { return env_u64("PAX_STRESS_SEEDS", 200); }
 
 /// Print the share of this process's pool jobs the residency rule capped,
-/// so a sweep's output shows it covered both sides of the rule.
+/// and the leaves of both rules, so a sweep's output shows it covered both
+/// sides of the residency rule and the preemption rule.
 void report_caps(const char* sweep) {
   const pax::testing::CapTally& t = pax::testing::cap_tally();
   const std::uint64_t jobs = t.jobs.load();
   const std::uint64_t capped = t.capped.load();
   std::printf(
       "[%s] %llu of %llu pool jobs capped (%.0f%%), %llu cap lifts, %llu cap "
-      "leaves\n",
+      "leaves, %llu preempt leaves\n",
       sweep, static_cast<unsigned long long>(capped),
       static_cast<unsigned long long>(jobs),
       jobs == 0 ? 0.0
                 : 100.0 * static_cast<double>(capped) / static_cast<double>(jobs),
       static_cast<unsigned long long>(t.lifts.load()),
-      static_cast<unsigned long long>(t.leaves.load()));
+      static_cast<unsigned long long>(t.leaves.load()),
+      static_cast<unsigned long long>(t.preempt_leaves.load()));
 }
 
 /// Run one of the eight seed-space shards (ctest -j runs them in parallel).

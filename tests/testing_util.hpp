@@ -260,14 +260,16 @@ inline std::chrono::nanoseconds pick_body_spin(Rng& rng) {
   return std::chrono::microseconds{5 + rng() % 26};
 }
 
-/// Pool jobs the sweeps in this process accepted, and how many of them the
-/// residency rule capped: printed per stress shard to show that a sweep
-/// covered both capped and uncapped jobs.
+/// Pool jobs the sweeps in this process accepted, how many of them the
+/// residency rule capped, and how often a spare resident left to answer a
+/// more urgent arrival: printed per stress shard to show that a sweep
+/// covered both capped and uncapped jobs and both kinds of leave.
 struct CapTally {
   std::atomic<std::uint64_t> jobs{0};
   std::atomic<std::uint64_t> capped{0};
   std::atomic<std::uint64_t> lifts{0};
   std::atomic<std::uint64_t> leaves{0};
+  std::atomic<std::uint64_t> preempt_leaves{0};
 
   /// Fold in a shut-down pool's counters (the residency metrics are
   /// worker-cell counters, final once the workers joined).
@@ -279,6 +281,8 @@ struct CapTally {
                     std::memory_order_relaxed);
     leaves.fetch_add(ps.metrics.value_of("pool.cap_leaves"),
                      std::memory_order_relaxed);
+    preempt_leaves.fetch_add(ps.metrics.value_of("pool.preempt_leaves"),
+                             std::memory_order_relaxed);
   }
 };
 
@@ -592,7 +596,9 @@ struct WideNoOpJob {
 ///
 /// On a multi-worker pool a wide no-op job joins the burst: its first
 /// bodies hold until several workers are resident, so its cap latches with
-/// residents to send away and cap leaves race everything above.
+/// residents to send away and cap leaves race everything above. Some
+/// arrivals are spaced out, so a more urgent job can arrive while earlier
+/// ones hold several workers and draw a spare resident off them.
 inline void run_serve_checked(const GeneratedProgram& g) {
   Rng rng(g.seed ^ 0x5EC7E5ULL);
   auto pick = [&](std::uint64_t lo, std::uint64_t hi) {  // inclusive
@@ -666,6 +672,11 @@ inline void run_serve_checked(const GeneratedProgram& g) {
           handles.back().wait_for(std::chrono::microseconds{pick(0, 500)});
         handles.back().cancel();
       }
+      // Space some arrivals out, so that a job can arrive while the earlier
+      // ones hold several workers: an earlier deadline then draws a spare
+      // resident off them (the preemption rule), racing the above too.
+      if (pick(0, 2) == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds{pick(20, 300)});
     }
     pool.drain();
 
@@ -718,11 +729,12 @@ inline void run_serve_checked(const GeneratedProgram& g) {
     EXPECT_EQ(fin.granules_executed, sum_granules)
         << "pool totals disagree with per-job sums";
     // Only a job that opened can latch the cap, and a lone worker has
-    // nobody to shed, so the rule never judges there.
+    // nobody to shed or to leave behind, so neither rule acts there.
     EXPECT_LE(fin.metrics.value_of("pool.jobs_capped"), n_complete + n_cancelled);
     if (pc.workers == 1) {
       EXPECT_EQ(fin.metrics.value_of("pool.jobs_capped"), 0u);
       EXPECT_EQ(fin.metrics.value_of("pool.cap_leaves"), 0u);
+      EXPECT_EQ(fin.metrics.value_of("pool.preempt_leaves"), 0u);
     }
     cap_tally().add(fin, n_jobs - n_rejected);
   }
