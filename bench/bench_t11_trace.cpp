@@ -190,8 +190,7 @@ int main(int argc, char** argv) {
   for (int attempt = 0; attempt < kAttempts && !gate2; ++attempt) {
     // Interleave the repetitions (off,on,off,on,...) so slow host-load drift
     // hits both modes evenly instead of biasing whichever ran last. Both
-    // arms ride the shipped (lock-free) shard engine — the engine is held
-    // equal so this gate keeps isolating tracing; bench_t12 gates engines.
+    // arms ride the same shard geometry, so this gate isolates tracing.
     std::vector<rt::RtResult> off_reps, on_reps;
     for (int i = 0; i < kReps; ++i) {
       off_reps.push_back(run_t9_protocol(workers, kAutoShards));

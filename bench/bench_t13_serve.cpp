@@ -23,7 +23,7 @@
 // --json emits BENCH_t13.json, including Végh's effective parallelization
 // alpha_eff (bench_util::vegh_alpha_eff) computed from the closed-loop
 // speedup over a one-worker pool — the serving plane's figure of merit.
-// --check runs a reduced correctness sweep (both shard engines, deadlines,
+// --check runs a reduced correctness sweep (four rounds of deadlines,
 // admission rejections, pre-open and mid-run cancels) and exits 0/1; the
 // TSAN CI job runs this mode.
 #define PAX_ALLOC_STATS_IMPLEMENT
@@ -302,7 +302,7 @@ OpenLoopResult open_loop(const std::vector<BuiltJob>& jobs, double lambda,
 /// The t10 warm-allocation bar, serve-mode edition. A served job pays a
 /// one-time program-machinery cost on the worker plane (~30-45 allocs:
 /// start(), dispatch advance, serial env writes, buffer growth) that the
-/// single-program t10/t12 benches pay before their measured window — so the
+/// single-program t10 bench pays before its measured window — so the
 /// gross worker-plane allocs/granule of a job stream cannot be compared to
 /// the t10 bar directly. The *marginal* cost per granule can: run the same
 /// job count at two granule counts and difference out the per-job setup.
@@ -395,17 +395,14 @@ BurstResult deadline_burst(const std::vector<BuiltJob>& jobs,
 
 // --- --check: reduced correctness sweep for the TSAN CI job ----------------
 
-bool check_engine(const std::vector<BuiltJob>& jobs, bool lockfree) {
+bool check_round(const std::vector<BuiltJob>& jobs, int round) {
   bool ok = true;
   auto fail = [&](const char* what) {
-    std::fprintf(stderr, "check(%s): %s\n", lockfree ? "lockfree" : "mutex",
-                 what);
+    std::fprintf(stderr, "check(round %d): %s\n", round, what);
     ok = false;
   };
-  pool::PoolConfig pc =
-      serve_config(3, pool::SchedPolicy::kDeadline, /*max_pending=*/6);
-  pc.lockfree = lockfree;
-  pool::PoolRuntime pool(pc);
+  pool::PoolRuntime pool(
+      serve_config(3, pool::SchedPolicy::kDeadline, /*max_pending=*/6));
   constexpr std::size_t kN = 48;
   std::vector<pool::JobHandle> handles;
   std::vector<std::uint64_t> expected;
@@ -465,8 +462,7 @@ bool check_mode() {
   g_gate.store(true, std::memory_order_release);
   const std::vector<BuiltJob> jobs = build_workload();
   bool ok = true;
-  for (int round = 0; round < 4; ++round)
-    ok = check_engine(jobs, /*lockfree=*/round % 2 == 0) && ok;
+  for (int round = 0; round < 4; ++round) ok = check_round(jobs, round) && ok;
   std::printf("t13 --check: %s\n", ok ? "PASS" : "FAIL");
   return ok;
 }

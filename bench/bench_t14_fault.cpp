@@ -5,7 +5,7 @@
 // only worth shipping if they are (a) free when nothing faults and (b) cheap
 // when something does. This bench runs the shared T9 protocol workload
 // (4096-granule identity-chained phases, grain 32, batch 16 — the same
-// program bench_t9/t10/t12 gate on) as a stream of pool jobs and gates:
+// program bench_t9/t10 gate on) as a stream of pool jobs and gates:
 //
 //   1. goodput with 1% seeded transient faults (each chosen granule throws
 //      once, then succeeds on retry) stays >= 0.9x the fault-free run — the
@@ -18,9 +18,9 @@
 //      process aborts — and the retry work-inflation is reported (busy-time
 //      ratio of the faulty arm over the clean arm).
 //
-// --json emits BENCH_t14.json. --check runs a reduced accounting sweep on
-// both shard engines (plus a poison case driving one job to kFailed) and
-// exits 0/1; the TSAN CI job runs this mode.
+// --json emits BENCH_t14.json. --check runs a reduced accounting sweep (plus
+// a poison case driving one job to kFailed) and exits 0/1; the TSAN CI job
+// runs this mode.
 #define PAX_ALLOC_STATS_IMPLEMENT
 #include "common/alloc_stats.hpp"
 
@@ -128,11 +128,10 @@ ExecConfig exec_config() {
   return cfg;
 }
 
-pool::PoolConfig pool_config(bool lockfree) {
+pool::PoolConfig pool_config() {
   pool::PoolConfig pc;
   pc.workers = kWorkers;
   pc.batch = kT9Batch;
-  pc.lockfree = lockfree;
   return pc;
 }
 
@@ -155,9 +154,9 @@ struct ArmResult {
 /// queue/ring reserves, per-job program machinery already measured by t13)
 /// do not pollute the no-fault-barrier gate.
 ArmResult run_arm(std::size_t n_jobs, std::uint32_t fault_permille,
-                  bool lockfree, std::uint64_t seed) {
+                  std::uint64_t seed) {
   ArmResult r;
-  pool::PoolRuntime pool(pool_config(lockfree));
+  pool::PoolRuntime pool(pool_config());
 
   {
     T14Job warm = build_job(nullptr, kT9Granules, /*t9_cost=*/true);
@@ -225,7 +224,7 @@ double marginal_warm_allocs(std::size_t n_jobs, GranuleId n_small,
                             GranuleId n_large) {
   auto worker_allocs = [&](GranuleId n, std::uint64_t* granules) {
     const T14Job j = build_job(nullptr, n, /*t9_cost=*/false);
-    pool::PoolRuntime pool(pool_config(/*lockfree=*/true));
+    pool::PoolRuntime pool(pool_config());
     {
       std::vector<pool::JobHandle> warm;
       for (int i = 0; i < 4; ++i)
@@ -255,16 +254,15 @@ double marginal_warm_allocs(std::size_t n_jobs, GranuleId n_small,
 
 // --- --check: reduced accounting sweep for the TSAN CI job -----------------
 
-bool check_engine(bool lockfree) {
+bool check_mode() {
   bool ok = true;
   auto fail = [&](const char* what) {
-    std::fprintf(stderr, "check(%s): %s\n", lockfree ? "lockfree" : "mutex",
-                 what);
+    std::fprintf(stderr, "check: %s\n", what);
     ok = false;
   };
   // Transient arm: 1% faults across two concurrent jobs, all must complete
   // with exact accounting.
-  const ArmResult r = run_arm(/*n_jobs=*/2, /*fault_permille=*/10, lockfree,
+  const ArmResult r = run_arm(/*n_jobs=*/2, /*fault_permille=*/10,
                               /*seed=*/0x7140BEEFULL);
   if (!r.ok) fail("transient arm: completion or accounting drift");
   if (r.injected == 0) fail("transient arm: plan injected nothing");
@@ -272,7 +270,7 @@ bool check_engine(bool lockfree) {
   // Poison arm: one granule throws forever under a retry budget of 1 — the
   // job must land in kFailed with the fault recorded, while a clean sibling
   // sharing the pool completes untouched.
-  pool::PoolRuntime pool(pool_config(lockfree));
+  pool::PoolRuntime pool(pool_config());
   FaultPlan always(/*seed=*/1, /*permille=*/0);
   always.budget[7].store(~std::uint32_t{0}, std::memory_order_relaxed);
   T14Job faulty = build_job(&always, kT9Granules, /*t9_cost=*/true);
@@ -290,13 +288,6 @@ bool check_engine(bool lockfree) {
   const pool::PoolStats ps = pool.stats();
   if (ps.jobs_failed != 1) fail("poison arm: jobs_failed != 1");
   if (ps.jobs_completed != 1) fail("poison arm: jobs_completed != 1");
-  return ok;
-}
-
-bool check_mode() {
-  bool ok = true;
-  ok = check_engine(/*lockfree=*/true) && ok;
-  ok = check_engine(/*lockfree=*/false) && ok;
   std::printf("t14 --check: %s\n", ok ? "PASS" : "FAIL");
   return ok;
 }
@@ -329,8 +320,8 @@ int main(int argc, char** argv) {
   };
   auto measure = [&](std::uint64_t seed) {
     Measurement m;
-    m.clean = run_arm(kJobs, 0, /*lockfree=*/true, seed);
-    m.faulty = run_arm(kJobs, kFaultPermille, /*lockfree=*/true, seed);
+    m.clean = run_arm(kJobs, 0, seed);
+    m.faulty = run_arm(kJobs, kFaultPermille, seed);
     m.goodput_ratio = m.faulty.goodput / m.clean.goodput;
     // Work inflation: body time bought by retrying faulted ranges, plus the
     // attempt overhead the barrier adds; reported, not gated (busy wall time

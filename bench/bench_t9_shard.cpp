@@ -4,11 +4,11 @@
 // *sharded executive* (DESIGN.md §9). Every refill used to funnel through
 // one executive mutex per program — the management serialization the paper's
 // rundown analysis warns about, re-centralized. The sharded front-end
-// partitions the granule handout across independently-locked shard buffers
-// (home shard, sibling probe, control sweep as fallback; batched retire with
-// cross-shard enablements coalesced and flushed once), so two workers
-// refilling different shards never contend and the control mutex is entered
-// a fraction as often, for sections amortized over whole sweeps.
+// partitions the granule handout across lock-free shard rings (home shard,
+// sibling probe, control sweep as fallback; batched retire with cross-shard
+// enablements coalesced and flushed once), so two workers refilling
+// different shards never contend and the control mutex is entered a
+// fraction as often, for sections amortized over whole sweeps.
 //
 // Workload: the T8 two-phase identity program with ramped granule cost, at
 // 8+ workers. Baseline is shards = 1 — the layer short-circuits to the PR 3
@@ -20,12 +20,15 @@
 // fails to cut BOTH control-lock acquisitions per granule AND mean lock-hold
 // nanoseconds per granule strictly below the single-shard baseline, or fails
 // to hold rundown-window utilization (final 10% of granules) at >= the
-// baseline, or granule counts drift.
+// baseline, or granule counts drift; or when the warm acquire cost stops
+// being O(taken) — cost at ring depth 4096 must stay within 4x of depth 64
+// (an erase-from-front buffer made it O(buffer), and it ran away with
+// depth).
 //
 // `--check` runs the correctness matrix instead (small programs x shard
-// geometries x all three runtimes' invariants) — the mode the TSAN CI job
-// executes so shard-boundary races surface under ThreadSanitizer rather
-// than in a perf gate.
+// geometries x all three runtimes' invariants, plus the ring-pop cross-check)
+// — the mode the TSAN CI job executes so shard-boundary and ring publish/
+// consume races surface under ThreadSanitizer rather than in a perf gate.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -52,6 +55,7 @@ constexpr std::uint32_t kBatch = pax::bench::kT9Batch;
 using pax::bench::RundownProbe;
 using pax::bench::run_t9_protocol;
 using pax::bench::spin;
+using pax::bench::warm_acquire_cost_ns;
 
 struct RunOut {
   rt::RtResult res;
@@ -61,11 +65,7 @@ struct RunOut {
 RunOut run_once(std::uint32_t workers, std::uint32_t shards) {
   RundownProbe probe(kTotal);
   RunOut out;
-  // lockfree pinned OFF on BOTH arms: this gate isolates the sharding layer
-  // (PR 4's mutex shards vs the 1-shard protocol), and must keep doing so
-  // now that the shipped default is the PR 8 lock-free engine — which has
-  // its own gate (bench_t12_lockfree) against this bench's sharded arm.
-  out.res = run_t9_protocol(workers, shards, &probe, nullptr, /*lockfree=*/false);
+  out.res = run_t9_protocol(workers, shards, &probe);
   out.rundown_util = probe.window_utilization(workers);
   return out;
 }
@@ -161,20 +161,23 @@ bool check_mode() {
     rc.workers = 4;
     rc.batch = 4;
     rc.shards = shards;
-    // Mutex engine, matching the perf arms above: with the shipped default
-    // now lock-free, this matrix is what keeps the retained baseline under
-    // TSAN (bench_t12_lockfree --check covers the lock-free engine).
-    rc.lockfree = false;
     rt::ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, rc);
     rt_ptr = &runtime;
     const rt::RtResult res = runtime.run();
-    // run() already validated the shard census; cross-check the totals.
+    // run() already validated the ring-aware shard census; cross-check the
+    // totals.
     expect(res.granules_executed == 2ull * n + 16, "granule total drifted");
     expect(a_done.load() == n && b_done.load() == n && c_done.load() == 16,
            "per-phase counts drifted");
     expect(res.exec_lock_acquisitions ==
                res.refill_lock_acquisitions + res.wait_lock_acquisitions,
            "lock-split identity broken");
+    // shard_hits/sibling_hits count served CALLS, ring_pops counts popped
+    // ASSIGNMENTS — every warm hit pops at least one, so pops >= hits, and
+    // warm pops happen only on the sharded path (never in sweeps).
+    if (shards > 1)
+      expect(res.shard_ring_pops >= res.shard_hits + res.shard_sibling_hits,
+             "ring pops fewer than the warm hits they served");
   }
 
   // Simulator: shards=1 twice must be bit-identical; more shards may only
@@ -298,12 +301,27 @@ int main(int argc, char** argv) {
         "rendering of the shard decontention the threaded table measures.\n");
   }
 
+  // --- gate: warm acquire cost is O(taken), not O(buffer) ---------------------
+  // The ring pop is O(taken); the ratio between a deep and a shallow ring
+  // must stay flat.
+  const double cost_shallow = warm_acquire_cost_ns(64);
+  const double cost_deep = warm_acquire_cost_ns(4096);
+  const double ratio = cost_shallow > 0.0 ? cost_deep / cost_shallow : 1e9;
+  const bool flat = cost_shallow > 0.0 && ratio < 4.0;
+  Table c("T9c — warm single-assignment acquire vs resident ring depth");
+  c.header({"depth 64 ns", "depth 4096 ns", "ratio", "bound"});
+  c.row({fixed(cost_shallow, 1), fixed(cost_deep, 1), fixed(ratio, 2), "< 4"});
+  c.print(std::cout);
+  json.add("t9_shard", "warm_acquire_ns_depth64", cost_shallow, "shards=2");
+  json.add("t9_shard", "warm_acquire_ns_depth4096", cost_deep, "shards=2");
+
   std::printf(
       "\nacceptance at %u workers (medians of %d, up to %d attempts): control "
       "locks/granule %.4f vs baseline %.4f (need <), hold ns/granule %.1f vs "
       "%.1f (need <), rundown-window utilization %.1f%% vs %.1f%% (need >=): "
-      "%s\n",
+      "%s; acquire cost ratio %.2f (need < 4): %s\n",
       workers, kReps, kAttempts, shard.lpg, base.lpg, shard.hold, base.hold,
-      100.0 * shard.util, 100.0 * base.util, pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+      100.0 * shard.util, 100.0 * base.util, pass ? "PASS" : "FAIL", ratio,
+      flat ? "PASS" : "FAIL");
+  return pass && flat ? 0 : 1;
 }

@@ -257,25 +257,21 @@ inline constexpr std::uint64_t kT9Total = 2ull * kT9Granules;
 inline constexpr std::uint32_t kT9Grain = 32;
 inline constexpr std::uint32_t kT9Batch = 16;
 
-/// T10's warm-window heap-traffic bar, shared so bench_t12_lockfree gates
-/// the lock-free engine against the SAME bar bench_t10_alloc set for the
-/// mutex-era control plane: pre-rework baseline (PR 4 tree, exact T10a
-/// workload) and the required reduction factor. Bar = baseline / reduction.
+/// T10's warm-window heap-traffic bar, shared so bench_t13_serve and
+/// bench_t14_fault hold the served warm path to the SAME bar bench_t10_alloc
+/// sets for the single-program one: the baseline measured before the arena
+/// rework on the exact T10a workload, and the required reduction factor.
+/// Bar = baseline / reduction.
 inline constexpr double kT10PreReworkAllocsPerGranule = 0.123;
 inline constexpr double kT10RequiredReduction = 10.0;
 
 /// One run of the T9 two-phase identity program with ramped granule cost
 /// (~6x head to tail). When `probe` is non-null the bodies feed it for the
 /// rundown-window utilization metric. When `trace` is non-null the run
-/// records into it (the t11 overhead gate's tracing-on arm). `lockfree`
-/// picks the shard warm-path engine (core/sharded_executive.hpp): the
-/// default follows the shipped configuration; bench_t9_shard pins false on
-/// BOTH of its arms so the t9 gate keeps isolating the sharding layer, and
-/// bench_t12_lockfree runs one arm of each to gate the rings.
+/// records into it (the t11 overhead gate's tracing-on arm).
 inline rt::RtResult run_t9_protocol(std::uint32_t workers, std::uint32_t shards,
                                     RundownProbe* probe = nullptr,
-                                    obs::TraceBuffer* trace = nullptr,
-                                    bool lockfree = true) {
+                                    obs::TraceBuffer* trace = nullptr) {
   PhaseProgram prog;
   const PhaseId a = prog.define_phase(make_phase("a", kT9Granules).writes("A"));
   const PhaseId b =
@@ -301,19 +297,19 @@ inline rt::RtResult run_t9_protocol(std::uint32_t workers, std::uint32_t shards,
   rc.workers = workers;
   rc.batch = kT9Batch;
   rc.shards = shards;
-  rc.lockfree = lockfree;
   rc.trace = trace;
   rt::ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, rc);
   return runtime.run();
 }
 
-/// Per-acquire cost probe (the take_from regression guard): mean ns of a
-/// *warm* single-assignment acquire against a shard buffer pre-filled to
-/// `depth`. Single-threaded and deterministic: one worker primes the rings
-/// via a sweep, then drains its home shard one assignment at a time; only
-/// non-swept acquires are timed. The old mutex engine's erase-from-front
-/// made this O(buffer) — cost(depth=4096) ran away from cost(depth=64) —
-/// while the ring pop is O(taken): bench_t12 asserts the ratio stays flat.
+/// Per-acquire cost probe: mean ns of a *warm* single-assignment acquire
+/// against a shard ring pre-filled to `depth` (the ring depth is the
+/// executive's batch, so `depth` is passed as ShardConfig::batch).
+/// Single-threaded and deterministic: one worker primes the rings via a
+/// sweep, then drains its home shard one assignment at a time; only
+/// non-swept acquires are timed. An erase-from-front buffer once made this
+/// O(buffer) — cost(depth=4096) ran away from cost(depth=64) — while the
+/// ring pop is O(taken): bench_t9_shard asserts the ratio stays flat.
 inline double warm_acquire_cost_ns(std::uint32_t depth,
                                    std::uint32_t warm_target = 8192) {
   PhaseProgram prog;
@@ -327,8 +323,7 @@ inline double warm_acquire_cost_ns(std::uint32_t depth,
   ShardConfig sc;
   sc.shards = 2;  // >1: engage the shard warm path, not the short-circuit
   sc.workers = 2;
-  sc.batch = 1;
-  sc.depth = depth;
+  sc.batch = depth;  // ring depth = batch
   ShardedExecutive exec(prog, cfg, CostModel::free_of_charge(), sc);
   exec.start();
 

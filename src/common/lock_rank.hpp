@@ -18,22 +18,21 @@
 //   ----  --------  ------------------------------------  -------------------
 //   0     control   ShardedExecutive::control_mu_         (outermost; guards
 //                   (census + sweep control plane)         the core + census)
-//   1     shard     ShardedExecutive::Shard::mu           control (sweeps)
-//   2     job       pool::detail::Job::mu                 nothing ranked
-//   3     queue     sched::LocalRunQueue::mu_             job (the finalize
+//   1     job       pool::detail::Job::mu                 nothing ranked
+//   2     queue     sched::LocalRunQueue::mu_             job (the finalize
 //                                                         path's peak probe)
-//   4     pool      pool::PoolRuntime::mu_                nothing ranked
-//   5     sleep     rt::ThreadedRuntime::mu_              nothing ranked
+//   3     pool      pool::PoolRuntime::mu_                nothing ranked
+//   4     sleep     rt::ThreadedRuntime::mu_              nothing ranked
 //
-// Ranking job *below* queue (and below pool, above control/shard) is what
-// makes the validator teeth match the documented pool discipline: an
-// executive call under a job mutex (control/shard < job) and a job mutex
-// under the pool mutex (job < pool) both abort on first execution.
+// Ranking job *below* queue (and below pool, above control) is what makes
+// the validator teeth match the documented pool discipline: an executive
+// call under a job mutex (control < job) and a job mutex under the pool
+// mutex (job < pool) both abort on first execution.
 //
 // Rules for adding a lock: give it the highest rank consistent with every
 // path that holds it together with another lock; same-rank acquisition is
-// forbidden unless every site orders the locks by a global criterion
-// (ascending shard index in check_census) and says so by passing kSameRank.
+// forbidden unless every site orders the locks by a global criterion (say,
+// ascending index) and says so by passing kSameRank.
 //
 // Cost model: checks are on when PAX_LOCK_RANK_CHECKS is 1, which defaults
 // to !NDEBUG. In release builds RankedMutex::lock()/unlock() compile down to
@@ -70,15 +69,14 @@ namespace pax {
 /// kSameRank). Values are indices into the held-count table.
 enum class LockRank : std::uint8_t {
   kControl = 0,  ///< sharded-executive control plane (census + sweeps)
-  kShard = 1,    ///< per-shard ready buffer + deposit box
-  kJob = 2,      ///< pool job bookkeeping
-  kQueue = 3,    ///< per-worker local run-queue ring
-  kPool = 4,     ///< pool runnable list + worker accounting
-  kSleep = 5,    ///< threaded-runtime sleep/accounting mutex
+  kJob = 1,      ///< pool job bookkeeping
+  kQueue = 2,    ///< per-worker local run-queue ring
+  kPool = 3,     ///< pool runnable list + worker accounting
+  kSleep = 4,    ///< threaded-runtime sleep/accounting mutex
 };
 
-/// Tag for deliberate same-rank acquisition (e.g. check_census freezing all
-/// shard locks in ascending index order, which is itself a total order).
+/// Tag for deliberate same-rank acquisition (a batch of same-rank locks
+/// taken in ascending index order, which is itself a total order).
 struct SameRankT {
   explicit SameRankT() = default;
 };
@@ -87,12 +85,11 @@ inline constexpr SameRankT kSameRank{};
 namespace lock_rank {
 
 inline constexpr bool kChecksEnabled = PAX_LOCK_RANK_CHECKS != 0;
-inline constexpr std::size_t kNumRanks = 6;
+inline constexpr std::size_t kNumRanks = 5;
 
 [[nodiscard]] constexpr const char* name(LockRank r) {
   switch (r) {
     case LockRank::kControl: return "control";
-    case LockRank::kShard: return "shard";
     case LockRank::kQueue: return "queue";
     case LockRank::kJob: return "job";
     case LockRank::kPool: return "pool";
@@ -103,8 +100,8 @@ inline constexpr std::size_t kNumRanks = 6;
 
 /// Per-thread census of held locks by rank. Counts (not a stack of
 /// identities) so a thread may hold arbitrarily many same-rank locks after
-/// opting in with kSameRank, and may release in any order — check_census
-/// unlocks its shard batch front-to-back, not LIFO.
+/// opting in with kSameRank, and may release in any order (a batch may be
+/// unlocked front-to-back, not LIFO).
 struct HeldCensus {
   std::uint32_t count[kNumRanks] = {};
 

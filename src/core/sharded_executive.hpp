@@ -22,37 +22,30 @@
 //     collects every shard's deposited tickets, retires them in a single
 //     complete_batch (so indirect enablements produced by tickets from
 //     different shards coalesce into maximal ranges and are flushed ONCE),
-//     then re-scatters carved assignments across the shard buffers. Under
-//     the lock-free engine sweep entry is a try-lock: a worker that finds a
-//     sweep in flight re-probes the rings and returns instead of queueing,
-//     because the sweep in flight scatters for every shard;
+//     then re-scatters carved assignments across the shard buffers. Sweep
+//     entry is a try-lock: a worker that finds a sweep in flight re-probes
+//     the rings and returns instead of queueing, because the sweep in flight
+//     scatters for every shard;
 //   * a small atomic census (ready / deposited / core-waiting / elevated /
 //     idle-work / finished) keeps runnable() / work_available() probes
 //     lock-free for the pool's cross-job pick and the runtimes' sleep
 //     predicates.
 //
-// The warm path comes in two engines, selected by ShardConfig::lockfree:
-//
-//   * lock-free (the default, DESIGN.md §13): each shard's ready buffer and
-//     deposit box are bounded MPMC rings (core/mpmc_ring.hpp) preallocated
-//     at construction. A warm acquire is a multi-consumer pop from the home
-//     ring, a lock-free sibling probe, and a lock-free push of finished
-//     tickets into the home deposit ring — no mutex anywhere. The control
-//     sweep (still under the control mutex) drains deposit rings and
-//     scatters into ready rings as the slow path, and absorbs every ring
-//     overflow: a refused deposit push turns into a direct retire inside the
-//     caller's forced sweep, a refused scatter push parks the assignment in
-//     a control-plane spill served/re-pushed by later sweeps.
-//   * mutex (lockfree = false): the PR 4 per-shard mutex + vector machinery,
-//     kept verbatim as the pinned baseline bench_t9_shard isolates and the
-//     one bench_t12_lockfree gates the rings against. Its shard-lock
-//     sections are counted and timed (ShardStats::shard_lock_*) so the gate
-//     can compare total scheduler-lock traffic, not just control sections.
+// The warm path is lock-free (DESIGN.md §13): each shard's ready buffer and
+// deposit box are bounded MPMC rings (core/mpmc_ring.hpp) preallocated at
+// construction. A warm acquire is a multi-consumer pop from the home ring, a
+// lock-free sibling probe, and a lock-free push of finished tickets into the
+// home deposit ring — no mutex anywhere. The control sweep (under the
+// control mutex) drains deposit rings and scatters into ready rings as the
+// slow path, and absorbs every ring overflow: a refused deposit push turns
+// into a direct retire inside the caller's forced sweep, a refused scatter
+// push parks the assignment in a control-plane spill served/re-pushed by
+// later sweeps.
 //
 // With shards == 1 the layer short-circuits to the PR 3 protocol — every
-// acquire is one control section doing complete_batch + request_work_batch —
-// identically under both engines, which is how bench_t9_shard baselines it
-// and why `shards = 1` reproduces the prior behavior exactly.
+// acquire is one control section doing complete_batch + request_work_batch,
+// no ring touched — which is how bench_t9_shard baselines it and why
+// `shards = 1` reproduces the prior behavior exactly.
 //
 // Elevated priority: the core pops elevated work first, but shard buffers
 // could hide an elevated release behind already-carved normal work. The
@@ -63,13 +56,9 @@
 //
 // Concurrency discipline (DESIGN.md §11): the wrapped core, the sweep
 // staging and the scatter spill are PAX_GUARDED_BY the control mutex (rank:
-// control, the outermost lock of the system); under the mutex engine each
-// Shard's buffer and deposit box are guarded by that shard's own mutex
-// (rank: shard, which nests inside control during sweeps — never the
-// reverse). Under the lock-free engine the shard mutex is never taken on
-// the warm path (the rings carry their own publish edges); it survives only
-// to freeze the mutex-engine buffers. The census atomics are the only state
-// read outside every lock, and each one documents the synchronization it
+// control, the outermost lock of the system). The rings carry their own
+// publish edges, and the census atomics are the only other state read
+// outside the control mutex; each one documents the synchronization it
 // relies on.
 #pragma once
 
@@ -100,30 +89,14 @@ struct ShardConfig {
   /// phase granule count.
   std::uint32_t shards = kAutoShards;
   std::uint32_t workers = 4;
-  /// Scatter/flush scaling unit (the driver's retire batch).
-  std::uint32_t batch = 1;
-  /// Per-shard ready-buffer cap; 0 = auto (= batch). Bounds how much work is
+  /// The runtime's retire batch, and the unit the shard buffers derive from:
+  /// each ready ring holds `batch` assignments (bounds how much work is
   /// pre-carved ahead of execution, so rundown tails are not locked into
-  /// coarse pieces carved before the adaptive grain kicked in.
-  std::uint32_t depth = 0;
-  /// Deposited-ticket count that triggers a control sweep even while shard
-  /// buffers still hold work; 0 = auto (= 2x batch). Bounds enablement
-  /// latency: a ticket waits at most one flush interval before its
-  /// completions are processed.
-  std::uint32_t flush = 0;
-  /// Warm-path engine. true (default): lock-free MPMC rings — a warm
-  /// acquire takes no mutex at all (DESIGN.md §13). false: the PR 4
-  /// mutex-guarded shard vectors, kept as the measurable baseline
-  /// (bench_t9_shard pins it; bench_t12_lockfree gates the rings against
-  /// it). Identical worker-protocol contract either way.
-  bool lockfree = true;
-
-  [[nodiscard]] std::uint32_t effective_depth() const {
-    return depth != 0 ? depth : std::max(1u, batch);
-  }
-  [[nodiscard]] std::uint32_t effective_flush() const {
-    return flush != 0 ? flush : std::max(2u, 2u * batch);
-  }
+  /// coarse pieces carved before the adaptive grain kicked in), and `2 x
+  /// batch` deposited tickets force a control sweep even while the rings
+  /// still hold work (bounds enablement latency: a ticket waits at most one
+  /// flush interval before its completions are processed).
+  std::uint32_t batch = 1;
 
   /// Optional trace buffer (non-owning; null = tracing off, each emit site
   /// one untaken branch). Must outlive the executive; the worker passed to
@@ -156,24 +129,17 @@ struct ShardStats {
   std::atomic<std::uint64_t> control_acquisitions{0};  ///< control-mutex sections
   std::atomic<std::uint64_t> control_hold_ns{0};       ///< time inside them
   /// Sweep entries skipped because another section held the control mutex
-  /// (lock-free engine, shards > 1): the worker went back to the rings
-  /// instead of queueing behind the sweep in flight.
+  /// (shards > 1): the worker went back to the rings instead of queueing
+  /// behind the sweep in flight.
   std::atomic<std::uint64_t> control_busy{0};
   std::atomic<std::uint64_t> sweeps{0};          ///< sections that swept deposits
   std::atomic<std::uint64_t> shard_hits{0};      ///< acquires served by home shard
   std::atomic<std::uint64_t> sibling_hits{0};    ///< ... by a sibling shard
   std::atomic<std::uint64_t> scattered{0};       ///< assignments pushed to shards
   std::atomic<std::uint64_t> deposits{0};        ///< tickets parked in shards
-  // Lock-free engine (rings; zero under the mutex engine).
   std::atomic<std::uint64_t> ring_pops{0};       ///< assignments popped lock-free
   std::atomic<std::uint64_t> ring_pop_empty{0};  ///< probes that found a hinted ring dry
   std::atomic<std::uint64_t> ring_push_full{0};  ///< pushes refused by a full ring
-  // Mutex engine (zero under the lock-free engine): warm-path shard-mutex
-  // sections (deposit, home take, sibling take) and their acquire-to-release
-  // time — the traffic the rings retire, counted so bench_t12 can compare
-  // total scheduler-lock cost per granule across the two engines.
-  std::atomic<std::uint64_t> shard_lock_acquisitions{0};
-  std::atomic<std::uint64_t> shard_lock_hold_ns{0};
 };
 
 /// Plain-value snapshot of ShardStats (copyable into results structs).
@@ -191,8 +157,6 @@ struct ShardStatsView {
   std::uint64_t ring_pop_empty = 0;
   std::uint64_t ring_push_full = 0;
   std::uint64_t ring_cas_retries = 0;
-  std::uint64_t shard_lock_acquisitions = 0;
-  std::uint64_t shard_lock_hold_ns = 0;
 };
 
 class ShardedExecutive {
@@ -205,14 +169,13 @@ class ShardedExecutive {
   ShardedExecutive& operator=(const ShardedExecutive&) = delete;
 
   [[nodiscard]] std::uint32_t shards() const { return nshards_; }
-  [[nodiscard]] bool lockfree() const { return lockfree_; }
 
   /// Begin program execution (control section). Until start() returns,
   /// acquire() yields nothing and runnable() is false.
   void start() PAX_EXCLUDES(control_mu_);
 
   /// The worker protocol, all locking internal (none at all on the warm
-  /// lock-free path):
+  /// path):
   ///   1. deposit `done` (cleared on return) into the home shard;
   ///   2. serve up to `max_n` assignments from the home shard buffer, else a
   ///      sibling buffer — no control mutex involved;
@@ -220,9 +183,9 @@ class ShardedExecutive {
   ///      elevated release is pending, or a ring push overflowed: one control
   ///      sweep — retire ALL shards' deposits (plus any overflowed tickets)
   ///      in one coalesced complete_batch, pull for the caller, re-scatter
-  ///      the shard buffers. Lock-free engine: when another section holds
-  ///      the control mutex the caller re-probes the rings and returns
-  ///      (counted as control_busy) — its deposits are already in a ring, so
+  ///      the shard buffers. When another section holds the control mutex
+  ///      the caller re-probes the rings and returns (counted as
+  ///      control_busy) — its deposits are already in a ring, so
   ///      work_available() stays true until a sweep retires them. Only a
   ///      deposit overflow (tickets that must retire in this call) waits.
   /// Returns what happened; `out` is appended in handout order.
@@ -258,9 +221,9 @@ class ShardedExecutive {
 
   /// Cooperative mid-run stop (job cancellation), callable from any thread —
   /// including non-workers. One control section: stops the core, recalls
-  /// every buffered-but-unexecuted assignment from the shard buffers (both
-  /// engines) and abandons their tickets. Workers racing past the flag may
-  /// still execute at most one local queue's worth of in-flight granules;
+  /// every buffered-but-unexecuted assignment from the shard rings and the
+  /// scatter spill and abandons their tickets. Workers racing past the flag
+  /// may still execute at most one local queue's worth of in-flight granules;
   /// their deposits retire through normal sweeps, and finished() flips once
   /// the last outstanding ticket drains. Idempotent. Safe before start():
   /// the core finishes immediately and a later start() runs no program node.
@@ -291,11 +254,10 @@ class ShardedExecutive {
 
   // --- lock-free census probes ---------------------------------------------
   // Each probe documents what orders it. The common pattern: a census flip
-  // happens under a shard/control lock (mutex engine) or is a relaxed
-  // atomic update beside a ring operation (lock-free engine), and every
-  // flip a sleeper could miss is followed by a wake that passes through the
-  // sleeper's mutex — the mutexes carry the ordering, so the probes
-  // themselves can stay relaxed.
+  // happens under the control mutex or is a relaxed atomic update beside a
+  // ring operation, and every flip a sleeper could miss is followed by a
+  // wake that passes through the sleeper's mutex — the mutexes carry the
+  // ordering, so the probes themselves can stay relaxed.
   [[nodiscard]] bool finished() const {
     // Acquire: pairs with the release store in publish_core_census() so a
     // thread that sees `finished == true` also sees the core's final state
@@ -348,62 +310,45 @@ class ShardedExecutive {
     return core_;
   }
 
-  /// Test hook: check the census against the actual buffer/deposit contents
-  /// — under the lock-free engine, against the rings' cursor deltas
-  /// (pushed - popped) AND the ready_n/deposit_n occupancy hints. Aborts
-  /// (PAX_CHECK) on drift. Under the mutex engine the locks make the
-  /// comparison exact at any instant; under the lock-free engine exactness
-  /// additionally requires no worker mid-pop/push — i.e. quiescence, which
-  /// every call site (post-join in the runtimes, single-threaded tests)
-  /// provides. The control mutex still excludes concurrent sweeps.
+  /// Test hook: check the census against the rings' cursor deltas (pushed -
+  /// popped), the ready_n/deposit_n occupancy hints and the spill. Aborts
+  /// (PAX_CHECK) on drift. Exactness requires no worker mid-pop/push — i.e.
+  /// quiescence, which every call site (post-join in the runtimes,
+  /// single-threaded tests) provides. The control mutex still excludes
+  /// concurrent sweeps.
   void check_census() const PAX_EXCLUDES(control_mu_);
 
  private:
   struct Shard {
-    /// Rank: shard — nests inside the control mutex (sweeps, check_census);
-    /// a worker outside a sweep holds at most one shard lock at a time.
-    /// Mutex engine only: the lock-free engine never takes it on the warm
-    /// path (its buffers are the rings below).
-    mutable RankedMutex<LockRank::kShard> mu;
-    std::vector<Assignment> ready PAX_GUARDED_BY(mu);   ///< handout order
-    std::vector<Ticket> deposits PAX_GUARDED_BY(mu);    ///< awaiting a sweep
-    /// Lock-free engine buffers (null under the mutex engine). Producers of
+    /// Shard buffers, allocated once at construction. Producers of
     /// `ready_ring` are control sweeps only (serialized by the control
     /// mutex); consumers are any worker. `deposit_ring` is the inverse:
     /// any worker pushes, only sweeps pop.
     std::unique_ptr<MpmcRing<Assignment>> ready_ring;
     std::unique_ptr<MpmcRing<Ticket>> deposit_ring;
     /// Lock-free occupancy hints so probes and sweeps skip empty shards
-    /// without touching the buffers. Relaxed: a hint read races its buffer
-    /// by design — under the mutex engine every read that acts on the
-    /// buffer re-checks under mu; under the lock-free engine the ring ops
-    /// themselves re-check (a stale hint costs one empty pop or a
-    /// conservative sibling bite, never correctness). Updated with
-    /// fetch_add/sub so concurrent updates from both ends of a ring
-    /// interleave without losing counts; transient over/under-shoot
+    /// without touching the rings. Relaxed: a hint read races its ring by
+    /// design and the ring ops themselves re-check (a stale hint costs one
+    /// empty pop or a conservative sibling bite, never correctness).
+    /// Updated with fetch_add/sub so concurrent updates from both ends of a
+    /// ring interleave without losing counts; transient over/under-shoot
     /// (including momentary wrap-below-zero) is part of the contract.
     std::atomic<std::uint32_t> ready_n{0};
     std::atomic<std::uint32_t> deposit_n{0};
   };
 
   [[nodiscard]] std::uint32_t home_of(WorkerId w) const { return w % nshards_; }
-  /// Mutex engine: take up to max_n from one shard's buffer (front first:
-  /// handout order). Kept verbatim from PR 4 — including its O(buffer)
-  /// erase-from-front — because it IS the pinned baseline bench_t12 gates
-  /// the rings against; the shipped engine's pop_from is O(taken).
-  std::size_t take_from(Shard& s, std::size_t max_n, std::vector<Assignment>& out)
-      PAX_REQUIRES(s.mu);
-  /// Lock-free engine: pop up to max_n from one shard's ready ring. Returns
-  /// 0 without touching the ring when the occupancy hint reads empty.
+  /// Pop up to max_n from one shard's ready ring (O(taken)). Returns 0
+  /// without touching the ring when the occupancy hint reads empty.
   std::size_t pop_from(Shard& s, std::size_t max_n, std::vector<Assignment>& out);
-  /// Lock-free engine: serve `res` from the home ring, else a steal-style
-  /// bite of the first sibling ring that answers. False when all were dry.
+  /// Serve `res` from the home ring, else a steal-style bite of the first
+  /// sibling ring that answers. False when all were dry.
   bool probe_rings(WorkerId w, std::size_t max_n, std::vector<Assignment>& out,
                    ShardAcquire& res);
-  /// Lock-free engine warm+slow protocol (nshards_ > 1).
-  ShardAcquire acquire_lockfree(WorkerId w, std::size_t max_n,
-                                std::vector<Ticket>& done,
-                                std::vector<Assignment>& out)
+  /// Warm+slow protocol across the rings (nshards_ > 1).
+  ShardAcquire acquire_sharded(WorkerId w, std::size_t max_n,
+                               std::vector<Ticket>& done,
+                               std::vector<Assignment>& out)
       PAX_EXCLUDES(control_mu_);
   /// Control sweep body; caller holds the control mutex. `direct` (may be
   /// null) carries tickets that overflowed a deposit ring — retired in the
@@ -411,12 +356,12 @@ class ShardedExecutive {
   void sweep_locked(ShardAcquire& res, WorkerId w, std::size_t max_n,
                     std::vector<Assignment>& out, std::vector<Ticket>* direct)
       PAX_REQUIRES(control_mu_);
-  /// Lock-free engine: push assignments from the control-plane spill into
-  /// ready rings (oldest first, round-robin after the caller's home).
+  /// Push assignments from the control-plane spill into ready rings
+  /// (oldest first, round-robin after the caller's home).
   /// Returns the number of shards touched (for the kShardFlush charge).
   std::uint64_t scatter_spill(WorkerId w, ShardAcquire& res)
       PAX_REQUIRES(control_mu_);
-  /// Stop path: drain every shard ready buffer/ring and the scatter spill,
+  /// Stop path: drain every shard ready ring and the scatter spill,
   /// abandoning the recalled tickets in the core (no granule completion).
   /// Cold path by definition — runs once per cancellation.
   void recall_abandon_locked() PAX_REQUIRES(control_mu_);
@@ -429,18 +374,17 @@ class ShardedExecutive {
 
   CostModel costs_;
   std::uint32_t nshards_;
+  /// Derived from ShardConfig::batch: ready-ring depth (batch) and the
+  /// deposit count that forces a sweep (2 x batch).
   std::uint32_t depth_;
   std::uint32_t flush_;
-  /// Engine selector (ShardConfig::lockfree), immutable after construction.
-  const bool lockfree_;
   /// Trace plumbing (ShardConfig::trace): set at construction, immutable
   /// after — workers read it with no synchronization.
   obs::TraceBuffer* const trace_;
   const std::uint64_t trace_job_;
 
   /// Rank: control — the outermost lock of the whole system. Guards the
-  /// single-threaded core, the sweep staging and the scatter spill; shard
-  /// locks nest inside it (mutex engine / census freeze only).
+  /// single-threaded core, the sweep staging and the scatter spill.
   mutable RankedMutex<LockRank::kControl> control_mu_;
   /// The wrapped single-threaded executive. Every entry goes through the
   /// control mutex except the three annotated escape hatches above (atomic
@@ -448,10 +392,9 @@ class ShardedExecutive {
   ExecutiveCore core_ PAX_GUARDED_BY(control_mu_);
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Census. ready_/deposited_ change beside the buffer operations (under
-  // shard locks in the mutex engine, as relaxed updates adjacent to ring
-  // ops in the lock-free one — where they may transiently undershoot while
-  // an op's count catches up); the rest change under the control mutex. All
+  // Census. ready_/deposited_ change as relaxed updates adjacent to ring ops
+  // (they may transiently undershoot while an op's count catches up); the
+  // rest change under the control mutex. All
   // reads are lock-free probes (orders documented at the probe methods
   // above). ready_ includes the control-plane scatter spill, so parked
   // overflow work keeps work_available() true.
@@ -471,7 +414,7 @@ class ShardedExecutive {
   /// the control mutex). Written once by fail_batch(); read lock-free by the
   /// pool's finalize election after finished() flips.
   std::atomic<bool> faulted_flag_{false};
-  /// Lock-free engine: occupancy of scatter_spill_ (relaxed mirror, written
+  /// Occupancy of scatter_spill_ (relaxed mirror, written
   /// under the control mutex) so acquire() can route a worker into a sweep
   /// when only spilled work remains — without taking the mutex to look.
   std::atomic<std::uint32_t> spill_n_{0};
@@ -480,7 +423,7 @@ class ShardedExecutive {
   /// Sweep staging: collected tickets. Reserved at construction to the
   /// worst-case outstanding-ticket count so sweeps never reallocate.
   std::vector<Ticket> sweep_tickets_ PAX_GUARDED_BY(control_mu_);
-  /// Lock-free engine: per-sweep carve staging (assignments are carved here
+  /// Per-sweep carve staging (assignments are carved here
   /// and then pushed into a ready ring one by one) and the overflow spill
   /// for pushes a full ring refused. Both reserved at construction; the
   /// spill can grow only through the transient lapped-cell refusal

@@ -1,10 +1,10 @@
 // job.hpp — one submitted PhaseProgram inside the pool runtime.
 //
 // Each job wraps its own executive, sharded (core/sharded_executive.hpp): the
-// granule handout is partitioned across independently-locked shard buffers,
-// so resident workers of the *same* job no longer contend on one job mutex —
-// the serial resource the paper worries about is now per-shard — while
-// concurrent jobs stay fully independent as before. The job's own mutex
+// granule handout is partitioned across lock-free shard rings, so resident
+// workers of the *same* job no longer contend on one job mutex — the serial
+// resource the paper worries about is now per-shard — while concurrent jobs
+// stay fully independent as before. The job's own mutex
 // shrinks to bookkeeping (stats merge, open/finalize timestamps); the pool's
 // cross-job scheduling works entirely on cheap atomic probes backed by the
 // sharded executive's census.
@@ -15,11 +15,11 @@
 // mutex ranks below the pool mutex and above every executive lock, so in
 // debug builds the rank validator aborts on a job mutex acquired under the
 // pool mutex and on any executive lock acquired under a job mutex (the two
-// ways those rules have actually been at risk). Probes flip while
-// only shard/control locks are held, so every path that can turn a sleeper's
-// predicate true passes through the relevant mutex (empty critical section)
-// before notifying — see PoolRuntime::wake_pool() and cancellation in
-// pool_runtime.cpp.
+// ways those rules have actually been at risk). Probes flip inside the
+// executive (under its control mutex or beside a ring operation), so every
+// path that can turn a sleeper's predicate true passes through the relevant
+// mutex (empty critical section) before notifying — see PoolCtl::wake() and
+// cancellation in job.cpp.
 #pragma once
 
 #include <atomic>
@@ -115,8 +115,8 @@ struct Job {
   /// from this job's sharded executive. Steals stay within the job (tickets
   /// are per-core); cross-job balance is the rotation pick's business.
   sched::Dispatcher dispatcher;
-  /// This job's executive; all executive locking is internal (shard locks +
-  /// control mutex), so workers call it without holding `mu`.
+  /// This job's executive; all executive locking is internal (the control
+  /// mutex), so workers call it without holding `mu`.
   ShardedExecutive exec;
 
   /// Back-reference to the pool's shared control block, set by submit()
@@ -225,11 +225,9 @@ struct Job {
 
   /// Probe: could a rotating worker make progress here? Queued jobs count
   /// (adoption start()s them). A finished-but-unfinalized executive counts
-  /// too: a mid-run cancel can flip the core finished from a *non-worker*
-  /// thread with nobody resident, and only an adopting worker can run the
-  /// finalize election — without this term the job would hang unfinalized.
-  /// May be stale — the adopting worker verifies and rotates on if the work
-  /// evaporated.
+  /// too, so the finalize election always has a taker whoever flipped the
+  /// core finished (PoolCtl::finalize). May be stale — the adopting worker
+  /// verifies and rotates on if the work evaporated.
   [[nodiscard]] bool runnable_probe() const {
     const JobState s = state.load(std::memory_order_relaxed);
     if (s == JobState::kQueued) return true;
@@ -334,8 +332,6 @@ struct Job {
     out.shard_ring_pop_empty = ss.ring_pop_empty;
     out.shard_ring_push_full = ss.ring_push_full;
     out.shard_ring_cas_retries = ss.ring_cas_retries;
-    out.shard_lock_acquisitions = ss.shard_lock_acquisitions;
-    out.shard_lock_hold_ns = ss.shard_lock_hold_ns;
     out.shards = exec.shards();
     const auto now = std::chrono::steady_clock::now();
     const auto end =
@@ -401,8 +397,6 @@ struct PoolCtl {
   std::uint64_t shard_ring_pop_empty PAX_GUARDED_BY(mu) = 0;
   std::uint64_t shard_ring_push_full PAX_GUARDED_BY(mu) = 0;
   std::uint64_t shard_ring_cas_retries PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t shard_lock_acquisitions PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t shard_lock_hold_ns PAX_GUARDED_BY(mu) = 0;
   std::uint64_t rotations PAX_GUARDED_BY(mu) = 0;
   std::uint64_t steals PAX_GUARDED_BY(mu) = 0;
   std::uint64_t steal_fail_spins PAX_GUARDED_BY(mu) = 0;
@@ -470,6 +464,19 @@ struct PoolCtl {
     }
     return false;
   }
+
+  /// The finalize election for a job whose executive finished. Several
+  /// threads can observe the finished census at once; the job mutex elects:
+  /// the first one in sees kRunning, writes the final bookkeeping and flips
+  /// the terminal state (release, flip LAST — done() must imply stats() is
+  /// final); every later caller sees a terminal state and returns false.
+  /// The winner then wakes the job's waiters and folds the job into the
+  /// pool counters. Workers call it when a round finds the executive
+  /// finished; cancel() and the watchdog call it when their own
+  /// request_stop() finished it, because a job stopped with no resident has
+  /// no worker to run its finalize. Takes the executive's control mutex,
+  /// the job mutex and the pool mutex strictly one at a time.
+  bool finalize(const std::shared_ptr<Job>& job) PAX_EXCLUDES(mu);
 
   /// Erase `job` from the runnable list if present.
   void remove_job_locked(const std::shared_ptr<Job>& job) PAX_REQUIRES(mu) {
@@ -559,11 +566,13 @@ class JobHandle {
   /// the job ends kCancelled: either it was still queued (cancelled on the
   /// spot, never runs) or it was running and this call won the mid-run
   /// cancel — the executive stops handing out granules, recalls buffered
-  /// work, drains what is in flight, and a worker finalizes the job as
-  /// kCancelled with consistent partial stats. False when the job already
-  /// ended, a cancel is already in flight, or the pool is gone. NOTE: a
-  /// winning mid-run cancel can race the final granule retiring — the job
-  /// still finalizes kCancelled, possibly with fully-complete stats.
+  /// work, drains what is in flight, and the job finalizes as kCancelled
+  /// with consistent partial stats (on this thread when nothing was in
+  /// flight, else on the worker that retires the last ticket). False when
+  /// the job already ended, a cancel is already in flight, or the pool is
+  /// gone. NOTE: a winning mid-run cancel can race the final granule
+  /// retiring — the job still finalizes kCancelled, possibly with
+  /// fully-complete stats.
   bool cancel();
 
   /// Stats snapshot (final once done()).

@@ -78,7 +78,6 @@ JobHandle PoolRuntime::submit(const PhaseProgram& program,
       .shards = opts.shards != kAutoShards ? opts.shards : config_.shards,
       .workers = config_.workers,
       .batch = config_.batch,
-      .lockfree = config_.lockfree,
       .trace = config_.trace,
       .trace_job = id};
   sched::DispatchConfig dispatch = dispatch_config();
@@ -192,8 +191,6 @@ PoolStats PoolRuntime::stats() const {
   s.shard_ring_pop_empty = ctl_->shard_ring_pop_empty;
   s.shard_ring_push_full = ctl_->shard_ring_push_full;
   s.shard_ring_cas_retries = ctl_->shard_ring_cas_retries;
-  s.shard_lock_acquisitions = ctl_->shard_lock_acquisitions;
-  s.shard_lock_hold_ns = ctl_->shard_lock_hold_ns;
   s.rotations = ctl_->rotations;
   s.steals = ctl_->steals;
   s.steal_fail_spins = ctl_->steal_fail_spins;
@@ -227,8 +224,6 @@ PoolStats PoolRuntime::stats() const {
   s.metrics.push("shard.ring.pop_empty", ctl_->shard_ring_pop_empty);
   s.metrics.push("shard.ring.push_full", ctl_->shard_ring_push_full);
   s.metrics.push("shard.ring.cas_retries", ctl_->shard_ring_cas_retries);
-  s.metrics.push("shard.lock.acquisitions", ctl_->shard_lock_acquisitions);
-  s.metrics.push("shard.lock.hold_ns", ctl_->shard_lock_hold_ns);
   s.metrics.push("queue.peak_occupancy", ctl_->peak_local_queue);
   s.metrics.push("heap.allocs", heap.allocs);
   s.metrics.push("heap.bytes", heap.bytes);
@@ -330,22 +325,13 @@ void PoolRuntime::worker_main(WorkerId id) {
     enum class Outcome : std::uint8_t {
       kExecute,   ///< local queue non-empty; drain it unlocked
       kRetry,     ///< did executive idle work; poll the queue again
-      kFinished,  ///< program finished and we won the finalize
+      kFinished,  ///< program finished and this worker won the finalize
       kDrained,   ///< rundown: queue empty, job not finished — steal/rotate
       kGone,      ///< job cancelled or finalized by a peer — rotate
     };
     Outcome out;
     JobState st;
     bool must_start = false;
-    // Finalize facts captured under the job mutex, republished under the
-    // pool mutex in the kFinished arm (the two locks are never nested).
-    std::uint64_t finished_peak = 0;
-    bool fin_cancelled = false;
-    bool fin_failed = false;
-    bool fin_watchdog = false;
-    bool fin_has_deadline = false;
-    bool fin_missed = false;
-    FaultStats fin_faults{};
     auto cap = detail::Job::CapChange::kNone;
     {
       RankedLock jlock(job->mu);
@@ -422,83 +408,9 @@ void PoolRuntime::worker_main(WorkerId id) {
       if (job->dispatcher.occupancy(id) > 0) {
         out = Outcome::kExecute;
       } else if (job->exec.finished()) {
-        // A finished executive has retired every ticket (a stopped one
-        // recalled its buffers and drained what was in flight), so no shard
-        // buffer or peer queue can still hold assignments of this job.
-        // Several workers can observe the finished census concurrently —
-        // the job mutex elects the finalizer: the first one in sees
-        // kRunning, writes the final bookkeeping, and flips the terminal
-        // state (release, flip LAST — done() must imply stats() is final);
-        // the losers see a terminal state and rotate on. The old protocol
-        // CASed the state *before* taking the mutex, leaving a window where
-        // a handle saw done() but stats() without finished_at — the race
-        // this path exists to close.
-        PAX_DCHECK(!job->exec.work_available());
-        // Fault facts read BEFORE the job mutex: fault_stats() takes the
-        // executive control mutex, which must never nest under the job
-        // mutex (rank order). The executive is finished, so the snapshot
-        // is final; losers of the election below just discard it.
-        const FaultStats exec_fs = job->exec.fault_stats();
-        const bool exec_faulted = job->exec.faulted();
-        RankedLock jlock(job->mu);
-        if (job->state.load(std::memory_order_relaxed) == JobState::kRunning) {
-          const bool was_cancelled = job->cancel_requested;
-          const bool was_watchdog = job->watchdog_expired;
-          // Terminal precedence: an explicit cancel beats the fault flip
-          // (the caller withdrew the work; whether it also faulted on the
-          // way down is a detail), faults beat completion.
-          const bool failed = !was_cancelled && (exec_faulted || was_watchdog);
-          const auto now = std::chrono::steady_clock::now();
-          job->finished_at = now;
-          job->stats.peak_local_queue = job->dispatcher.peak_occupancy();
-          // Guard gap surfaced by the annotation pass: the kFinished arm
-          // below runs under the *pool* mutex and must not read the
-          // job-mutex-guarded stats there — capture the values here.
-          finished_peak = job->stats.peak_local_queue;
-          if (job->has_deadline()) {
-            job->stats.has_deadline = true;
-            job->stats.deadline_slack =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    job->deadline - now);
-            // Cancelled jobs never count as misses: the caller withdrew the
-            // deadline along with the work. Failed jobs don't either — they
-            // produced no result to be late (jobs_failed counts them).
-            job->stats.deadline_missed =
-                !was_cancelled && !failed && now > job->deadline;
-          }
-          // Fault accounting, written before the terminal flip so done()
-          // implies it is final. The executive-side counts are
-          // authoritative: every fail() is counted there, while a worker's
-          // BodyLoopStats::faulted delta may still be unmerged here (its
-          // ticket retired through fail_batch before its stats merge).
-          job->stats.granule_faults = exec_fs.faults;
-          job->stats.granule_retries = exec_fs.retries;
-          job->stats.granules_poisoned = exec_fs.poisoned;
-          job->stats.map_faults = exec_fs.map_faults;
-          job->stats.watchdog_expired = was_watchdog;
-          if (exec_fs.any()) {
-            job->stats.fault_summary =
-                "phase " + std::to_string(exec_fs.first_phase) + " [" +
-                std::to_string(exec_fs.first_range.lo) + "," +
-                std::to_string(exec_fs.first_range.hi) +
-                "): " + exec_fs.first_what;
-          } else if (was_watchdog) {
-            job->stats.fault_summary = "granule exceeded watchdog timeout";
-          }
-          fin_cancelled = was_cancelled;
-          fin_failed = failed;
-          fin_watchdog = was_watchdog;
-          fin_faults = exec_fs;
-          fin_has_deadline = job->has_deadline();
-          fin_missed = job->stats.deadline_missed;
-          job->state.store(was_cancelled ? JobState::kCancelled
-                           : failed      ? JobState::kFailed
-                                         : JobState::kComplete,
-                           std::memory_order_release);
-          out = Outcome::kFinished;
-        } else {
-          out = Outcome::kGone;  // a peer won the finalize
-        }
+        // Several workers (and a cancel or watchdog thread) can observe the
+        // finished census concurrently; the election picks one finalizer.
+        out = ctl_->finalize(job) ? Outcome::kFinished : Outcome::kGone;
       } else if (!leaving && job->exec.has_idle_work() &&
                  job->exec.idle_work()) {
         // Donate the rotation gap to this job's executive (map builds,
@@ -524,48 +436,10 @@ void PoolRuntime::worker_main(WorkerId id) {
       }
       case Outcome::kRetry:
         break;
-      case Outcome::kFinished: {
+      case Outcome::kFinished:
         trace_event(id, job->id, obs::TraceKind::kJobFinalize);
-        job->done_cv.notify_all();
-        {
-          const ShardStatsView ss = job->exec.stats();
-          RankedLock lock(ctl_->mu);
-          ctl_->remove_job_locked(job);
-          if (fin_cancelled) {
-            ++ctl_->jobs_cancelled;
-          } else if (fin_failed) {
-            ++ctl_->jobs_failed;
-          } else {
-            ++ctl_->jobs_completed;
-            if (fin_has_deadline) {
-              if (fin_missed)
-                ++ctl_->jobs_deadline_missed;
-              else
-                ++ctl_->jobs_deadline_met;
-            }
-          }
-          ctl_->job_granule_faults += fin_faults.faults;
-          ctl_->job_granule_retries += fin_faults.retries;
-          ctl_->job_granules_poisoned += fin_faults.poisoned;
-          ctl_->job_map_faults += fin_faults.map_faults;
-          if (fin_watchdog) ++ctl_->watchdog_flags;
-          ctl_->exec_control_acquisitions += ss.control_acquisitions;
-          ctl_->exec_lock_hold_ns += ss.control_hold_ns;
-          ctl_->exec_control_busy += ss.control_busy;
-          ctl_->shard_hits += ss.shard_hits + ss.sibling_hits;
-          ctl_->shard_ring_pops += ss.ring_pops;
-          ctl_->shard_ring_pop_empty += ss.ring_pop_empty;
-          ctl_->shard_ring_push_full += ss.ring_push_full;
-          ctl_->shard_ring_cas_retries += ss.ring_cas_retries;
-          ctl_->shard_lock_acquisitions += ss.shard_lock_acquisitions;
-          ctl_->shard_lock_hold_ns += ss.shard_lock_hold_ns;
-          ctl_->peak_local_queue =
-              std::max(ctl_->peak_local_queue, finished_peak);
-        }
-        ctl_->cv.notify_all();  // wake drain()ers and rotating workers
         job.reset();
         break;
-      }
       case Outcome::kDrained: {
         // The job's executive is dry but peers may still hold fat local
         // queues — its rundown. Steal a FIFO range from the most-loaded
@@ -710,10 +584,15 @@ void PoolRuntime::watchdog_escalate(const std::shared_ptr<detail::Job>& job,
   // PR 9's escalation machinery: stop handouts, recall buffered work. The
   // escalation is cooperative — once the stuck granule returns and in-
   // flight work drains, an adopting worker finalizes the job as kFailed.
-  // Wake the pool in case every worker is asleep (the finalize probe treats
-  // a finished executive as runnable).
+  // When nothing was in flight any more the stop finishes the executive
+  // here, so this thread runs the finalize election itself, exactly like
+  // cancel(). Otherwise wake the pool in case every worker is asleep (the
+  // finalize probe treats a finished executive as runnable).
   job->exec.request_stop();
-  ctl_->wake();
+  if (job->exec.finished())
+    ctl_->finalize(job);
+  else
+    ctl_->wake();
 }
 
 void PoolRuntime::trace_event(WorkerId w, std::uint64_t job_id,

@@ -62,16 +62,12 @@ struct PoolConfig {
   /// next round boundary (DESIGN.md §7); never the job's last resident,
   /// never on a 1-worker pool.
   SchedPolicy policy = SchedPolicy::kFifo;
-  /// Executive shards per job (independently-locked granule-handout
-  /// partitions; see core/sharded_executive.hpp). kAutoShards = 2x workers
-  /// clamped per job; 1 = the PR 3 per-job single-mutex protocol; 0 is
-  /// invalid and fails at pool construction. A per-job override passed to
-  /// submit() must agree with an explicit pool-level value.
+  /// Executive shards per job (lock-free granule-handout partitions; see
+  /// core/sharded_executive.hpp). kAutoShards = 2x workers clamped per job;
+  /// 1 = the per-job single-mutex protocol; 0 is invalid and fails at
+  /// pool construction. A per-job override passed to submit() must agree
+  /// with an explicit pool-level value.
   std::uint32_t shards = kAutoShards;
-  /// Warm-path shard engine per job: true (default) = lock-free MPMC rings
-  /// (DESIGN.md §13); false = the PR 4 mutex-guarded shard buffers (the
-  /// pinned bench baseline).
-  bool lockfree = true;
   /// Rundown work stealing between peer local queues of the resident job.
   bool steal = true;
   /// Steal-rate signal halves a job's effective grain during its rundown.

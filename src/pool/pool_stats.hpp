@@ -46,16 +46,12 @@ struct JobStats {
   /// Refills served lock-locally from a shard buffer (home or sibling) —
   /// no control-mutex section involved.
   std::uint64_t shard_hits = 0;
-  /// Lock-free engine split for this job's executive (zero under the mutex
-  /// engine): ring pops / dry probes / refused pushes / CAS retries.
+  /// Ring split for this job's executive: ring pops / dry probes / refused
+  /// pushes / CAS retries.
   std::uint64_t shard_ring_pops = 0;
   std::uint64_t shard_ring_pop_empty = 0;
   std::uint64_t shard_ring_push_full = 0;
   std::uint64_t shard_ring_cas_retries = 0;
-  /// Mutex engine split (zero when lock-free): warm shard-mutex sections and
-  /// their acquire-to-release time on this job's executive.
-  std::uint64_t shard_lock_acquisitions = 0;
-  std::uint64_t shard_lock_hold_ns = 0;
   /// Resolved shard count of this job's executive.
   std::uint32_t shards = 0;
   /// Assignments of this job obtained by local-queue stealing (no executive
@@ -132,14 +128,12 @@ struct PoolStats {
   std::uint64_t exec_lock_hold_ns = 0;
   /// Shard-buffer refills (no control section) summed over finished jobs.
   std::uint64_t shard_hits = 0;
-  /// Lock-free / mutex engine splits summed over finished jobs (see
-  /// JobStats for field meanings).
+  /// Ring splits summed over finished jobs (see JobStats for field
+  /// meanings).
   std::uint64_t shard_ring_pops = 0;
   std::uint64_t shard_ring_pop_empty = 0;
   std::uint64_t shard_ring_push_full = 0;
   std::uint64_t shard_ring_cas_retries = 0;
-  std::uint64_t shard_lock_acquisitions = 0;
-  std::uint64_t shard_lock_hold_ns = 0;
   /// Cross-job moves: a worker released a drained resident and adopted a
   /// different job. The overlap mechanism working at program scope.
   std::uint64_t rotations = 0;

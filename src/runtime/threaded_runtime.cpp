@@ -57,7 +57,6 @@ ThreadedRuntime::ThreadedRuntime(const PhaseProgram& program, ExecConfig config,
             ShardConfig{.shards = rt_config_.shards,
                         .workers = rt_config_.workers,
                         .batch = rt_config_.batch,
-                        .lockfree = rt_config_.lockfree,
                         .trace = rt_config_.trace}),
       dispatcher_(sched::DispatchConfig{.workers = rt_config_.workers,
                                         .batch = rt_config_.batch,
@@ -82,10 +81,10 @@ void ThreadedRuntime::set_observer(std::function<void(const ExecEvent&)> obs) {
 }
 
 void ThreadedRuntime::wake_all() {
-  // The census flip that turns a sleeper's predicate true happens under a
-  // shard or control lock, not mu_. Passing through mu_ orders the flip
-  // against any sleeper's predicate evaluation, closing the lost-wakeup
-  // window (same discipline as pool::PoolRuntime::wake_pool).
+  // The census flip that turns a sleeper's predicate true happens under the
+  // control lock or beside a ring operation, not under mu_. Passing through
+  // mu_ orders the flip against any sleeper's predicate evaluation, closing
+  // the lost-wakeup window (same discipline as pool::PoolCtl::wake).
   { RankedLock lock(mu_); }
   cv_.notify_all();
 }
@@ -184,7 +183,15 @@ void ThreadedRuntime::worker_main(WorkerId id) {
           r.kind = obs::TraceKind::kWake;
           rt_config_.trace->ring(id).emit(r);
         }
+        continue;
       }
+      // The round found nothing, yet the predicate holds: the refill met a
+      // peer's sweep in flight (sweep entry is a try-lock), or the census
+      // counted work a scatter had not pushed yet. Yield, so a sweeper
+      // descheduled mid-section gets the CPU back instead of this worker
+      // spinning (and tracing a steal attempt each round) until it runs.
+      lock.unlock();
+      std::this_thread::yield();
       continue;
     }
 
@@ -294,8 +301,6 @@ RtResult ThreadedRuntime::run() {
   res.shard_ring_pop_empty = ss.ring_pop_empty;
   res.shard_ring_push_full = ss.ring_push_full;
   res.shard_ring_cas_retries = ss.ring_cas_retries;
-  res.shard_lock_acquisitions = ss.shard_lock_acquisitions;
-  res.shard_lock_hold_ns = ss.shard_lock_hold_ns;
   res.shards_used = exec_.shards();
   res.peak_local_queue = dispatcher_.peak_occupancy();
   const AllocTotals heap1 = alloc_stats::delta(heap0, alloc_stats::totals());
@@ -334,8 +339,6 @@ RtResult ThreadedRuntime::run() {
   res.metrics.push("shard.ring.pop_empty", ss.ring_pop_empty);
   res.metrics.push("shard.ring.push_full", ss.ring_push_full);
   res.metrics.push("shard.ring.cas_retries", ss.ring_cas_retries);
-  res.metrics.push("shard.lock.acquisitions", ss.shard_lock_acquisitions);
-  res.metrics.push("shard.lock.hold_ns", ss.shard_lock_hold_ns);
   res.metrics.push("queue.peak_occupancy", res.peak_local_queue);
   res.metrics.push("heap.allocs", res.heap_allocs);
   res.metrics.push("heap.bytes", res.heap_bytes);

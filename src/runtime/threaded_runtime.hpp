@@ -1,9 +1,9 @@
 // threaded_runtime.hpp — execute a PhaseProgram on real std::jthread workers.
 //
 // The executive is wrapped in a core::ShardedExecutive (DESIGN.md §9): the
-// granule handout is partitioned across RtConfig::shards independently-
-// locked shard buffers, so two workers refilling different shards never
-// contend, and the single-threaded ExecutiveCore is entered only for control
+// granule handout is partitioned across RtConfig::shards lock-free shard
+// rings, so two workers refilling different shards never contend, and the
+// single-threaded ExecutiveCore is entered only for control
 // sweeps (coalesced retire + re-scatter). With shards = 1 the layer
 // short-circuits to the PR 3 protocol — one mutex section per refill — which
 // is the baseline bench_t9_shard gates against. Setting
@@ -61,16 +61,11 @@ struct RtConfig {
   /// (sched::kDefaultBatch). batch 1 with steal off = the classic
   /// single-item handoff.
   std::uint32_t batch = sched::kDefaultBatch;
-  /// Executive shards (independently-locked granule-handout partitions).
-  /// kAutoShards = 2x workers clamped to the largest phase (1 for a single
-  /// worker); 1 = the PR 3 single-mutex protocol; 0 is invalid and fails at
-  /// construction.
+  /// Executive shards (lock-free granule-handout partitions, DESIGN.md
+  /// §13). kAutoShards = 2x workers clamped to the largest phase (1 for a
+  /// single worker); 1 = the single-mutex protocol; 0 is invalid and
+  /// fails at construction.
   std::uint32_t shards = kAutoShards;
-  /// Warm-path shard engine: true (default) = lock-free MPMC rings — no
-  /// mutex anywhere on a warm acquire (DESIGN.md §13); false = the PR 4
-  /// mutex-guarded shard buffers, kept as the measurable baseline
-  /// (bench_t9_shard pins it, bench_t12_lockfree gates against it).
-  bool lockfree = true;
   /// Rundown work stealing between workers' local queues.
   bool steal = true;
   /// Steal-rate signal halves the effective grain during rundown.
@@ -127,21 +122,15 @@ struct RtResult {
   std::uint64_t shard_scattered = 0;
   /// Resolved shard count of the run (after kAutoShards resolution).
   std::uint32_t shards_used = 0;
-  /// Lock-free engine split (zero when RtConfig::lockfree was false):
-  /// assignments popped lock-free from shard rings, probes that found a
-  /// hinted ring dry, pushes a full ring refused (each one a forced control
-  /// sweep or a spill), and CAS cursor-claim retries — the ring's contention
-  /// signal. Together with the control counters these show the warm/slow
-  /// split bench_t12 and quickstart print.
+  /// Ring split: assignments popped lock-free from shard rings, probes that
+  /// found a hinted ring dry, pushes a full ring refused (each one a forced
+  /// control sweep or a spill), and CAS cursor-claim retries — the ring's
+  /// contention signal. Together with the control counters these show the
+  /// warm/slow split quickstart prints.
   std::uint64_t shard_ring_pops = 0;
   std::uint64_t shard_ring_pop_empty = 0;
   std::uint64_t shard_ring_push_full = 0;
   std::uint64_t shard_ring_cas_retries = 0;
-  /// Mutex engine split (zero when lockfree): warm-path shard-mutex sections
-  /// and their acquire-to-release ns — the traffic the rings retire. Added
-  /// to the control totals this is bench_t12's total-scheduler-lock metric.
-  std::uint64_t shard_lock_acquisitions = 0;
-  std::uint64_t shard_lock_hold_ns = 0;
   /// Assignments obtained by stealing from a peer's local queue (no
   /// executive round-trip involved).
   std::uint64_t steals = 0;
@@ -210,8 +199,9 @@ class ThreadedRuntime {
 
  private:
   void worker_main(WorkerId id);
-  /// Pass through the sleep mutex, then notify: orders census flips (done
-  /// under shard/control locks only) against sleepers' predicate checks.
+  /// Pass through the sleep mutex, then notify: orders census flips (made
+  /// inside the executive, never under mu_) against sleepers' predicate
+  /// checks.
   void wake_all() PAX_EXCLUDES(mu_);
 
   const PhaseProgram& program_;

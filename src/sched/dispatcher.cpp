@@ -25,37 +25,6 @@ Dispatcher::Dispatcher(DispatchConfig config)
   }
 }
 
-RefillOutcome Dispatcher::refill(ExecutiveCore& core, WorkerId w,
-                                 std::vector<Ticket>& done) {
-  RefillOutcome out;
-  if (!done.empty()) {
-    out.completion = core.complete_batch(done);
-    done.clear();
-  }
-
-  if (config_.adaptive_grain) {
-    const GranuleId base = core.configured_grain();
-    const auto shift = grain_shift_.load(std::memory_order_relaxed);
-    core.set_grain_limit(std::max<GranuleId>(1, base >> shift));
-  }
-
-  // Thieves only shrink the queue, so a room computed from a momentary size
-  // can never over-fill; only the owner pushes.
-  const std::size_t room = capacity_ - std::min(capacity_, queues_[w]->size());
-  if (room == 0) return out;
-  std::vector<Assignment>& buf = scratch_[w];
-  buf.clear();
-  core.request_work_batch(w, room, buf);
-  push_reversed(w, buf);
-  out.refilled = buf.size();
-  if (out.refilled > 0) {
-    note_event(/*was_steal=*/false);
-    trace_event(w, obs::TraceKind::kRefill,
-                static_cast<std::uint32_t>(out.refilled));
-  }
-  return out;
-}
-
 RefillOutcome Dispatcher::refill(ShardedExecutive& ex, WorkerId w,
                                  std::vector<Ticket>& done) {
   RefillOutcome out;
@@ -98,7 +67,7 @@ void Dispatcher::push_reversed(WorkerId w, const std::vector<Assignment>& buf) {
   // Push in reverse so the owner's LIFO pop order equals the order the
   // assignments arrived in (the executive's elevated-first handout order on
   // a refill; the victim's front-to-back order on a steal). One bulk lock
-  // acquisition: refill callers hold the executive mutex.
+  // acquisition of the local queue.
   if (buf.empty()) return;
   const bool ok = queues_[w]->push_reversed(buf);
   PAX_CHECK_MSG(ok, "local run-queue overflow");

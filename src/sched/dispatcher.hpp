@@ -8,10 +8,9 @@
 // executive to an enablement oracle:
 //
 //   * each worker owns a bounded LocalRunQueue (run_queue.hpp);
-//   * the Dispatcher is the only component that touches the ExecutiveCore —
-//     refill() retires the worker's finished tickets and refills its local
-//     queue in one executive critical section (the caller holds whatever
-//     lock guards the core, exactly as with the old retire_and_refill);
+//   * the Dispatcher is the only component that touches the executive —
+//     refill() deposits the worker's finished tickets and refills its local
+//     queue through the sharded executive, which locks internally;
 //   * when a worker's local queue and the executive's waiting queue are both
 //     dry — the rundown signal — try_steal() takes a FIFO range from the
 //     most-loaded peer queue without touching the executive at all;
@@ -98,7 +97,7 @@ struct BodyLoopStats {
   }
 };
 
-/// What one refill() critical section did.
+/// What one refill() did.
 struct RefillOutcome {
   CompletionResult completion{};  ///< of the retire (ORed ticket outcomes)
   std::size_t refilled = 0;       ///< assignments pulled into the local queue
@@ -112,20 +111,15 @@ class Dispatcher {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] const DispatchConfig& config() const { return config_; }
 
-  /// One executive critical section: retire `done` (cleared on return), then
-  /// refill worker `w`'s local queue up to capacity, applying the adaptive
-  /// grain limit first. The caller must hold whatever lock guards `core`.
-  RefillOutcome refill(ExecutiveCore& core, WorkerId w, std::vector<Ticket>& done);
-
-  /// Sharded refill: deposit `done` and pull from the sharded executive's
-  /// home/sibling shard buffers (control-plane sweep only as a fallback —
-  /// see ShardedExecutive::acquire). Under the default lock-free engine
-  /// (DESIGN.md §13) the warm case of this call takes no mutex anywhere:
-  /// ring pops and pushes only. Any locking that does happen is internal
-  /// to `ex`; the caller holds nothing. The adaptive grain limit is
-  /// published through the core's atomic before the pull, which is exactly
-  /// why the limit had to stop being a plain field: this store races with
-  /// a sweeping peer's request path.
+  /// Deposit `done` (cleared on return) and refill worker `w`'s local queue
+  /// up to capacity from the sharded executive's home/sibling shard rings
+  /// (control-plane sweep only as a fallback — see
+  /// ShardedExecutive::acquire). The warm case takes no mutex anywhere
+  /// (DESIGN.md §13): ring pops and pushes only. Any locking that does
+  /// happen is internal to `ex`; the caller holds nothing. The adaptive
+  /// grain limit is published through the core's atomic before the pull,
+  /// which is exactly why the limit had to stop being a plain field: this
+  /// store races with a sweeping peer's request path.
   RefillOutcome refill(ShardedExecutive& ex, WorkerId w, std::vector<Ticket>& done);
 
   /// Retire `done` (cleared on return) without pulling new work: the last

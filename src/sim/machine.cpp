@@ -127,8 +127,8 @@ void Machine::start_job(Job j) {
 void Machine::pump_executive() {
   // Start one job on every free lane: jobs on different lanes (different
   // home shards) proceed concurrently; jobs on the same lane serialize —
-  // the per-shard lock of the sharded front-end. With one shard this is the
-  // classic serial executive.
+  // the per-shard serialization of the sharded front-end. With one shard
+  // this is the classic serial executive.
   for (std::uint32_t l = 0; l < config_.shards; ++l) {
     if (lane_busy_[l]) continue;
     if (!lane_sync_[l].empty()) {

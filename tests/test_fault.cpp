@@ -5,7 +5,7 @@
 // JobState::kFailed without touching its siblings; the stuck-granule
 // watchdog escalates an over-budget body through the stop/recall machinery;
 // and a throwing GranuleMapFn degrades its edge instead of wedging the
-// program. Runs on both shard engines and under ThreadSanitizer in CI.
+// program. Runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,18 +29,6 @@ using testing::FaultInjector;
 using testing::GeneratedProgram;
 using testing::SlowGranuleSpec;
 
-// Both shard engines: the lock-free rings (shipped default) and the retained
-// mutex baseline — the fail/recall path differs between them.
-class FaultEngine : public ::testing::TestWithParam<bool> {
- protected:
-  [[nodiscard]] bool lockfree() const { return GetParam(); }
-};
-
-INSTANTIATE_TEST_SUITE_P(Engines, FaultEngine, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& i) {
-                           return i.param ? "LockFree" : "Mutex";
-                         });
-
 struct SinglePhase {
   PhaseProgram prog;
   PhaseId p = kNoPhase;
@@ -56,7 +44,7 @@ SinglePhase make_single_phase(GranuleId n) {
 
 /// A deterministic single-phase GeneratedProgram shell so the fault-injection
 /// helpers (FaultInjector / make_faulty_bodies) apply to hand-built tests.
-GeneratedProgram single_phase_shell(GranuleId n, bool lockfree) {
+GeneratedProgram single_phase_shell(GranuleId n) {
   GeneratedProgram g;
   g.seed = 42;
   g.phases.push_back(g.program.define_phase(make_phase("only", n).writes("O")));
@@ -66,7 +54,6 @@ GeneratedProgram single_phase_shell(GranuleId n, bool lockfree) {
   g.total = n;
   g.workers = 3;
   g.batch = 2;
-  g.lockfree = lockfree;
   return g;
 }
 
@@ -75,7 +62,6 @@ rt::RtConfig config_of(const GeneratedProgram& g) {
   rc.workers = g.workers;
   rc.batch = g.batch;
   rc.shards = g.shards;
-  rc.lockfree = g.lockfree;
   rc.steal = g.steal;
   rc.adaptive_grain = g.adaptive_grain;
   return rc;
@@ -83,8 +69,8 @@ rt::RtConfig config_of(const GeneratedProgram& g) {
 
 // --- exception barrier + retry (threaded runtime) ---------------------------
 
-TEST_P(FaultEngine, TransientFaultRetriesToCompletion) {
-  GeneratedProgram g = single_phase_shell(64, lockfree());
+TEST(FaultBarrier, TransientFaultRetriesToCompletion) {
+  GeneratedProgram g = single_phase_shell(64);
   ExecutionRecorder rec(g.granules);
   FaultInjector inj(g.granules);
   inj.set_throws(0, 3, 1);   // fail once, succeed on retry
@@ -110,8 +96,8 @@ TEST_P(FaultEngine, TransientFaultRetriesToCompletion) {
   EXPECT_EQ(res.metrics.value_of("fault.terminal"), 0u);
 }
 
-TEST_P(FaultEngine, PersistentFaultPoisonsAndFaultsTheRun) {
-  GeneratedProgram g = single_phase_shell(48, lockfree());
+TEST(FaultBarrier, PersistentFaultPoisonsAndFaultsTheRun) {
+  GeneratedProgram g = single_phase_shell(48);
   ExecutionRecorder rec(g.granules);
   FaultInjector inj(g.granules);
   inj.set_throws(0, 7, FaultInjector::kAlways);
@@ -137,7 +123,7 @@ TEST_P(FaultEngine, PersistentFaultPoisonsAndFaultsTheRun) {
   EXPECT_EQ(res.metrics.value_of("fault.terminal"), 1u);
 }
 
-TEST_P(FaultEngine, MapFnThrowDegradesEdgeAndCompletes) {
+TEST(FaultBarrier, MapFnThrowDegradesEdgeAndCompletes) {
   // Two phases bridged by a reverse-indirect map whose callback throws: the
   // edge degrades to wholesale release at completion, so the program still
   // retires every granule of both phases — overlap is lost, not the run.
@@ -180,7 +166,6 @@ TEST_P(FaultEngine, MapFnThrowDegradesEdgeAndCompletes) {
   });
   rt::RtConfig rc;
   rc.workers = 3;
-  rc.lockfree = lockfree();
   rt::RtResult res =
       rt::ThreadedRuntime(prog, ExecConfig{}, CostModel::free_of_charge(),
                           bodies, rc)
@@ -244,8 +229,8 @@ TEST(FaultRetry, IdentityEdgeSetUpWhileARangeIsParkedForRetryStillEnablesIt) {
 
 // --- pool degradation: kFailed, sibling isolation, wait semantics -----------
 
-TEST_P(FaultEngine, PoolJobFailsWithoutTouchingSiblings) {
-  GeneratedProgram g = single_phase_shell(48, lockfree());
+TEST(FaultPool, PoolJobFailsWithoutTouchingSiblings) {
+  GeneratedProgram g = single_phase_shell(48);
   ExecutionRecorder rec(g.granules);
   FaultInjector inj(g.granules);
   inj.set_throws(0, 5, FaultInjector::kAlways);
@@ -261,7 +246,6 @@ TEST_P(FaultEngine, PoolJobFailsWithoutTouchingSiblings) {
 
   pool::PoolConfig pc;
   pc.workers = 3;
-  pc.lockfree = lockfree();
   pool::JobHandle faulty, sibling;
   {
     pool::PoolRuntime pool(pc);
@@ -311,8 +295,8 @@ TEST_P(FaultEngine, PoolJobFailsWithoutTouchingSiblings) {
   EXPECT_GE(faulty.stats().granules_poisoned, 1u);
 }
 
-TEST_P(FaultEngine, PoolTransientFaultStillCompletes) {
-  GeneratedProgram g = single_phase_shell(64, lockfree());
+TEST(FaultPool, PoolTransientFaultStillCompletes) {
+  GeneratedProgram g = single_phase_shell(64);
   ExecutionRecorder rec(g.granules);
   FaultInjector inj(g.granules);
   inj.set_throws(0, 0, 1);
@@ -321,7 +305,6 @@ TEST_P(FaultEngine, PoolTransientFaultStillCompletes) {
 
   pool::PoolConfig pc;
   pc.workers = 2;
-  pc.lockfree = lockfree();
   pool::PoolRuntime pool(pc);
   pool::JobHandle h = pool.submit(g.program, bodies, ExecConfig{});
   EXPECT_EQ(h.wait(), JobState::kComplete);
@@ -337,8 +320,8 @@ TEST_P(FaultEngine, PoolTransientFaultStillCompletes) {
 
 // --- stuck-granule watchdog -------------------------------------------------
 
-TEST_P(FaultEngine, WatchdogFlagsStuckGranule) {
-  GeneratedProgram g = single_phase_shell(8, lockfree());
+TEST(FaultWatchdog, WatchdogFlagsStuckGranule) {
+  GeneratedProgram g = single_phase_shell(8);
   ExecutionRecorder rec(g.granules);
   FaultInjector inj(g.granules);  // no throws — the granule is stuck, not bad
   std::atomic<std::uint64_t> sink{0};
@@ -350,7 +333,6 @@ TEST_P(FaultEngine, WatchdogFlagsStuckGranule) {
 
   pool::PoolConfig pc;
   pc.workers = 2;
-  pc.lockfree = lockfree();
   pool::PoolRuntime pool(pc);
   pool::PoolRuntime::SubmitOptions opts;
   opts.granule_timeout = std::chrono::milliseconds{5};
@@ -370,7 +352,7 @@ TEST_P(FaultEngine, WatchdogFlagsStuckGranule) {
   EXPECT_EQ(ps.metrics.value_of("fault.watchdog_flags"), 1u);
 }
 
-TEST_P(FaultEngine, WatchdogNeverFlagsBodiesShorterThanTheTimeout) {
+TEST(FaultWatchdog, WatchdogNeverFlagsBodiesShorterThanTheTimeout) {
   // 64 bodies of 5 ms on 2 workers under a 25 ms timeout. A drain runs up
   // to a local queue's worth of bodies back to back, far longer than the
   // timeout, but no single body overstays: the watchdog follows bodies by
@@ -386,7 +368,6 @@ TEST_P(FaultEngine, WatchdogNeverFlagsBodiesShorterThanTheTimeout) {
   });
   pool::PoolConfig pc;
   pc.workers = 2;
-  pc.lockfree = lockfree();
   pool::PoolRuntime pool(pc);
   pool::PoolRuntime::SubmitOptions opts;
   opts.granule_timeout = std::chrono::milliseconds{25};
@@ -398,7 +379,7 @@ TEST_P(FaultEngine, WatchdogNeverFlagsBodiesShorterThanTheTimeout) {
   EXPECT_EQ(pool.stats().watchdog_flags, 0u);
 }
 
-TEST_P(FaultEngine, NoTimeoutMeansNoWatchdogFlag) {
+TEST(FaultWatchdog, NoTimeoutMeansNoWatchdogFlag) {
   // A job slower than any poll interval but with no granule_timeout must
   // never be flagged — the watchdog only watches opted-in jobs.
   SinglePhase s = make_single_phase(4);
@@ -410,7 +391,6 @@ TEST_P(FaultEngine, NoTimeoutMeansNoWatchdogFlag) {
   });
   pool::PoolConfig pc;
   pc.workers = 2;
-  pc.lockfree = lockfree();
   pool::PoolRuntime pool(pc);
   pool::JobHandle h = pool.submit(s.prog, bodies, ExecConfig{});
   EXPECT_EQ(h.wait(), JobState::kComplete);

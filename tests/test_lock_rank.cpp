@@ -11,7 +11,7 @@
 //   3. the annotated guard helpers under real concurrency — a seeded
 //      threaded + pool run with enough shards, workers and stealing to push
 //      traffic through every re-scoped critical section (sharded sweeps,
-//      shard deposits, queue steals, job finalize, pool accounting). This
+//      queue steals, job finalize, pool accounting). This
 //      suite runs in the TSAN CI matrix, so the RankedLock/RankedUniqueLock
 //      rewrite is also checked against the happens-before model.
 #include <gtest/gtest.h>
@@ -48,29 +48,29 @@ static_assert(lock_rank::kChecksEnabled == kExpectChecks);
 
 TEST(LockRankPrimitives, AscendingAcquisitionIsClean) {
   note_acquire(LockRank::kControl, /*same_rank_ok=*/false);
-  note_acquire(LockRank::kShard, /*same_rank_ok=*/false);
+  note_acquire(LockRank::kJob, /*same_rank_ok=*/false);
   note_acquire(LockRank::kQueue, /*same_rank_ok=*/false);
   EXPECT_EQ(held(LockRank::kControl), 1u);
-  EXPECT_EQ(held(LockRank::kShard), 1u);
+  EXPECT_EQ(held(LockRank::kJob), 1u);
   EXPECT_EQ(held(LockRank::kQueue), 1u);
-  // Non-LIFO release is legal: check_census unlocks front-to-back.
+  // Non-LIFO release is legal: a batch may unlock front-to-back.
   note_release(LockRank::kControl);
   note_release(LockRank::kQueue);
-  note_release(LockRank::kShard);
-  EXPECT_EQ(held(LockRank::kShard), 0u);
+  note_release(LockRank::kJob);
+  EXPECT_EQ(held(LockRank::kJob), 0u);
 }
 
 TEST(LockRankPrimitives, SameRankBatchWithTagIsClean) {
-  // check_census's pattern: control, then every shard in ascending index
+  // A batch freeze: control, then every same-rank lock in ascending index
   // order under the kSameRank waiver.
   note_acquire(LockRank::kControl, false);
-  note_acquire(LockRank::kShard, false);
-  note_acquire(LockRank::kShard, /*same_rank_ok=*/true);
-  note_acquire(LockRank::kShard, /*same_rank_ok=*/true);
-  EXPECT_EQ(held(LockRank::kShard), 3u);
-  note_release(LockRank::kShard);
-  note_release(LockRank::kShard);
-  note_release(LockRank::kShard);
+  note_acquire(LockRank::kQueue, false);
+  note_acquire(LockRank::kQueue, /*same_rank_ok=*/true);
+  note_acquire(LockRank::kQueue, /*same_rank_ok=*/true);
+  EXPECT_EQ(held(LockRank::kQueue), 3u);
+  note_release(LockRank::kQueue);
+  note_release(LockRank::kQueue);
+  note_release(LockRank::kQueue);
   note_release(LockRank::kControl);
 }
 
@@ -100,8 +100,8 @@ TEST(LockRankPrimitivesDeathTest, SameRankWithoutTagAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        note_acquire(LockRank::kShard, false);
-        note_acquire(LockRank::kShard, false);
+        note_acquire(LockRank::kQueue, false);
+        note_acquire(LockRank::kQueue, false);
       },
       "without kSameRank");
 }
@@ -116,21 +116,21 @@ TEST(LockRankPrimitivesDeathTest, ReleasingUnheldRankAborts) {
 
 TEST(RankedMutex, CheckedBuildsTrackHeldRanksThroughGuards) {
   RankedMutex<LockRank::kControl> control;
-  RankedMutex<LockRank::kShard> shard;
+  RankedMutex<LockRank::kJob> job;
   {
     RankedLock outer(control);
-    RankedLock inner(shard);
+    RankedLock inner(job);
     if (lock_rank::kChecksEnabled) {
       EXPECT_EQ(held(LockRank::kControl), 1u);
-      EXPECT_EQ(held(LockRank::kShard), 1u);
+      EXPECT_EQ(held(LockRank::kJob), 1u);
     } else {
       // Zero-cost claim: release-build guards never touch the census.
       EXPECT_EQ(held(LockRank::kControl), 0u);
-      EXPECT_EQ(held(LockRank::kShard), 0u);
+      EXPECT_EQ(held(LockRank::kJob), 0u);
     }
   }
   EXPECT_EQ(held(LockRank::kControl), 0u);
-  EXPECT_EQ(held(LockRank::kShard), 0u);
+  EXPECT_EQ(held(LockRank::kJob), 0u);
 }
 
 TEST(RankedMutex, UniqueLockBalancesAcrossManualUnlockRelock) {
@@ -174,8 +174,8 @@ TEST(RankedMutexDeathTest, SameRankGuardWithoutTagAbortsWhenChecked) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        RankedMutex<LockRank::kShard> a;
-        RankedMutex<LockRank::kShard> b;
+        RankedMutex<LockRank::kQueue> a;
+        RankedMutex<LockRank::kQueue> b;
         RankedLock la(a);
         RankedLock lb(b);  // no kSameRank tag
       },
@@ -183,12 +183,12 @@ TEST(RankedMutexDeathTest, SameRankGuardWithoutTagAbortsWhenChecked) {
 }
 
 TEST(RankedMutex, SameRankGuardWithTagIsClean) {
-  RankedMutex<LockRank::kShard> a;
-  RankedMutex<LockRank::kShard> b;
+  RankedMutex<LockRank::kQueue> a;
+  RankedMutex<LockRank::kQueue> b;
   RankedLock la(a);
   RankedLock lb(b, kSameRank);
   if (lock_rank::kChecksEnabled) {
-    EXPECT_EQ(held(LockRank::kShard), 2u);
+    EXPECT_EQ(held(LockRank::kQueue), 2u);
   }
 }
 
@@ -295,7 +295,7 @@ TEST(RankedMutexTryLockDeathTest, SuccessfulOutOfRankTryAbortsWhenChecked) {
 
 // One run of any multi-threaded test certifies the lock graph acyclic in a
 // checked build — these two force traffic through every re-scoped guard:
-// control sweeps + shard deposits + sibling pulls (many shards, small
+// control sweeps + ring deposits + sibling pulls (many shards, small
 // batches), queue pushes/pops/steals (steal on, more workers than shards
 // busy), the sleep mutex (workers outnumber work at the tail), and on the
 // pool run the job-bookkeeping and pool-accounting sections including the
@@ -309,7 +309,7 @@ TEST(LockRankIntegration, ThreadedSweepAndStealTrafficIsRankClean) {
   g.adaptive_grain = true;
   const rt::RtResult res = testing::run_threaded_checked(g);
   EXPECT_GT(res.shard_hits + res.shard_sibling_hits, 0u)
-      << "config failed to exercise the shard-buffer guards";
+      << "config failed to exercise the shard rings";
 }
 
 TEST(LockRankIntegration, PoolFinalizeAndCancelTrafficIsRankClean) {

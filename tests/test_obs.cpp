@@ -330,8 +330,9 @@ TEST(DispatcherTracing, ExecStampsChainWithinADrain) {
   prog.halt();
   ExecConfig cfg;
   cfg.grain = 1;
-  ExecutiveCore core(prog, cfg);
-  core.start();
+  ShardedExecutive ex(prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 1, .workers = 1, .batch = 4});
+  ex.start();
 
   TraceBuffer trace(1, {.ring_capacity = kTestRing});
   sched::Dispatcher d({.workers = 1, .batch = 4, .steal = true,
@@ -343,9 +344,9 @@ TEST(DispatcherTracing, ExecStampsChainWithinADrain) {
   sched::BodyLoopStats stats;
   std::vector<TraceRecord> ring;
   std::uint64_t drains = 0;
-  while (!core.finished()) {
+  while (!ex.finished()) {
     ASSERT_LT(drains, 12u);
-    d.refill(core, 0, done);
+    d.refill(ex, 0, done);
     const std::chrono::nanoseconds before = stats.busy;
     d.drain_local(bodies, 0, done, stats);
     ++drains;

@@ -2,11 +2,11 @@
 // scheduling policies (including EDF) order rotations as documented, the
 // residency rule caps management-bound jobs at one resident, a spare
 // resident answers a more urgent arrival at its next round boundary,
-// cancel-before-open and true mid-run cancellation on both shard engines,
-// admission control / kRejected, deadline accounting, timed waits, handles
-// that outlive the pool, the done() => stats()-final terminal contract, and
-// enablement order for a job executed through the shared pool. Runs under
-// ThreadSanitizer in CI.
+// cancel-before-open, true mid-run cancellation, a cancel that lands while
+// no worker holds the job, admission control / kRejected, deadline
+// accounting, timed waits, handles that outlive the pool, the done() =>
+// stats()-final terminal contract, and enablement order for a job executed
+// through the shared pool. Runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -481,7 +481,7 @@ TEST(PoolCancel, CancelBeforeOpenWinsOnceAndVictimNeverRuns) {
 /// still in the executive) when cancel() fires. The cooperative stop must
 /// recall the undistributed work — the job finalizes kCancelled with a
 /// strictly partial granule count — and the winning cancel is exclusive.
-void run_mid_run_cancel(bool lockfree) {
+TEST(PoolCancel, MidRunCancelDrainsAndFinalizesCancelled) {
   constexpr GranuleId kN = 64;
   SinglePhase s = make_single_phase(kN);
   std::atomic<bool> gate{false};
@@ -494,7 +494,7 @@ void run_mid_run_cancel(bool lockfree) {
     executed.fetch_add(r.size(), std::memory_order_relaxed);
   });
 
-  PoolRuntime pool({.workers = 2, .batch = 4, .lockfree = lockfree});
+  PoolRuntime pool({.workers = 2, .batch = 4});
   ExecConfig cfg;
   cfg.grain = 1;  // one granule per assignment: fine-grained recall coverage
   JobHandle h = pool.submit(s.prog, bodies, cfg);
@@ -526,12 +526,66 @@ void run_mid_run_cancel(bool lockfree) {
   EXPECT_EQ(ps.granules_executed, js.granules);
 }
 
-TEST(PoolCancel, MidRunCancelDrainsAndFinalizesCancelledLockfree) {
-  run_mid_run_cancel(/*lockfree=*/true);
-}
+/// A cancel that lands while the job's start() still runs must not strand
+/// the job. J's leading serial action blocks inside start(), holding J's
+/// control mutex, so cancel() raises the stop flag and then queues on that
+/// mutex. When the action returns, the lone worker's first round finds
+/// nothing (the flag is up, the recall has not run) and an unfinished
+/// executive, so it gives J up and adopts L; the stop then finishes J with
+/// nobody resident. cancel() must finalize J itself instead of leaving it
+/// kRunning until L's 40 bodies of 10 ms have drained.
+TEST(PoolCancel, CancelDuringStartFinalizesWithoutAResident) {
+  PhaseProgram held;
+  const PhaseId hp = held.define_phase(make_phase("held", 8).writes("H"));
+  std::atomic<bool> in_action{false};
+  std::atomic<bool> release{false};
+  held.serial(
+      "hold",
+      [&in_action, &release](ProgramEnv&) {
+        in_action.store(true, std::memory_order_release);
+        while (!release.load(std::memory_order_acquire))
+          std::this_thread::yield();
+      },
+      0, false);
+  held.dispatch(hp);
+  held.halt();
+  std::atomic<std::uint64_t> held_ran{0};
+  const PhaseId held_phases[] = {hp};
+  rt::BodyTable held_bodies = counting_bodies(held_phases, held_ran);
 
-TEST(PoolCancel, MidRunCancelDrainsAndFinalizesCancelledMutexEngine) {
-  run_mid_run_cancel(/*lockfree=*/false);
+  constexpr GranuleId kLong = 40;
+  SinglePhase long_job = make_single_phase(kLong);
+  std::atomic<std::uint64_t> long_ran{0};
+  rt::BodyTable long_bodies;
+  long_bodies.set(long_job.p, [&long_ran](GranuleRange r, WorkerId) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{10});
+    long_ran.fetch_add(r.size(), std::memory_order_relaxed);
+  });
+
+  PoolRuntime pool({.workers = 1, .batch = 4});
+  ExecConfig cfg;
+  cfg.grain = 1;
+  JobHandle j = pool.submit(held, held_bodies, cfg);
+  JobHandle l = pool.submit(long_job.prog, long_bodies, cfg);
+  while (!in_action.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  // Give cancel() time to raise the flag and queue behind the action.
+  std::atomic<bool> won{false};
+  std::thread canceller([&j, &won] { won.store(j.cancel()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  release.store(true, std::memory_order_release);
+  canceller.join();
+  EXPECT_TRUE(won.load());
+  EXPECT_EQ(j.wait_for(std::chrono::milliseconds{100}), JobState::kCancelled);
+  EXPECT_FALSE(l.done()) << "J ended only after L drained";
+  EXPECT_EQ(l.wait(), JobState::kComplete);
+  pool.shutdown();
+
+  EXPECT_EQ(long_ran.load(), kLong);
+  const PoolStats ps = pool.stats();
+  EXPECT_EQ(ps.jobs_cancelled, 1u);
+  EXPECT_EQ(ps.jobs_completed, 1u);
+  EXPECT_EQ(ps.granules_executed, kLong + held_ran.load());
 }
 
 // --- terminal-state contract: done() implies stats() are final ---------------

@@ -99,6 +99,9 @@ TEST(LocalRunQueue, StealTakesHalfRoundedUp) {
 }
 
 // --- Dispatcher refill/steal, driven deterministically -----------------------
+// The Dispatcher cases refill from a one-shard ShardedExecutive: every
+// refill is one control section over the core (the single-mutex protocol),
+// so the handout is the core's own, in its order.
 
 struct SinglePhase {
   PhaseProgram prog;
@@ -117,18 +120,19 @@ TEST(Dispatcher, EmptyBatchRetireIsANoOp) {
   SinglePhase s = make_single_phase(4);
   ExecConfig cfg;
   cfg.grain = 1;
-  ExecutiveCore core(s.prog, cfg);
-  core.start();
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 1, .workers = 1, .batch = 8});
+  ex.start();
 
   sched::Dispatcher d({/*workers=*/1, /*batch=*/8, true, true});
   std::vector<Ticket> done;  // empty: nothing to retire on the first trip
-  const sched::RefillOutcome first = d.refill(core, 0, done);
+  const sched::RefillOutcome first = d.refill(ex, 0, done);
   EXPECT_EQ(first.refilled, 4u);
   EXPECT_FALSE(first.completion.new_work);
 
   // Queue still full, executive dry: a second refill retires nothing and
   // pulls nothing, without disturbing the queued assignments.
-  const sched::RefillOutcome second = d.refill(core, 0, done);
+  const sched::RefillOutcome second = d.refill(ex, 0, done);
   EXPECT_EQ(second.refilled, 0u);
   EXPECT_EQ(d.occupancy(0), 4u);
 }
@@ -137,8 +141,9 @@ TEST(Dispatcher, DrainBusySpansEveryBodyAndNoMoreThanTheCall) {
   SinglePhase s = make_single_phase(8);
   ExecConfig cfg;
   cfg.grain = 1;
-  ExecutiveCore core(s.prog, cfg);
-  core.start();
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 1, .workers = 1, .batch = 8});
+  ex.start();
 
   // Each body times itself between two clock reads of its own.
   std::chrono::nanoseconds self{0};
@@ -159,7 +164,7 @@ TEST(Dispatcher, DrainBusySpansEveryBodyAndNoMoreThanTheCall) {
   EXPECT_EQ(stats.busy.count(), 0);
   EXPECT_EQ(stats.tasks, 0u);
 
-  ASSERT_EQ(d.refill(core, 0, done).refilled, 8u);
+  ASSERT_EQ(d.refill(ex, 0, done).refilled, 8u);
   const auto c0 = std::chrono::steady_clock::now();
   d.drain_local(bodies, 0, done, stats);
   const auto c1 = std::chrono::steady_clock::now();
@@ -181,8 +186,9 @@ TEST(Dispatcher, BodySequenceIsOddInsideABodyAndEvenAfterTheDrain) {
   SinglePhase s = make_single_phase(4);
   ExecConfig cfg;
   cfg.grain = 1;
-  ExecutiveCore core(s.prog, cfg);
-  core.start();
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 1, .workers = 2, .batch = 8});
+  ex.start();
 
   sched::Dispatcher d({/*workers=*/2, /*batch=*/8, true, false});
   std::vector<std::uint64_t> seen;
@@ -194,7 +200,7 @@ TEST(Dispatcher, BodySequenceIsOddInsideABodyAndEvenAfterTheDrain) {
   EXPECT_EQ(d.body_seq(0), 0u);
 
   std::vector<Ticket> done;
-  ASSERT_EQ(d.refill(core, 0, done).refilled, 4u);
+  ASSERT_EQ(d.refill(ex, 0, done).refilled, 4u);
   sched::BodyLoopStats stats;
   d.drain_local(bodies, 0, done, stats);
   // Owner pops follow the handout order, so granule 3's body runs last:
@@ -212,12 +218,13 @@ TEST(Dispatcher, RefillPreservesExecutiveHandoutOrder) {
   SinglePhase s = make_single_phase(6);
   ExecConfig cfg;
   cfg.grain = 2;
-  ExecutiveCore core(s.prog, cfg);
-  core.start();
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 1, .workers = 1, .batch = 8});
+  ex.start();
 
   sched::Dispatcher d({1, 8, true, false});
   std::vector<Ticket> done;
-  ASSERT_EQ(d.refill(core, 0, done).refilled, 3u);
+  ASSERT_EQ(d.refill(ex, 0, done).refilled, 3u);
   Assignment a;
   GranuleId expect_lo = 0;
   while (d.pop_local(0, a)) {
@@ -231,19 +238,20 @@ TEST(Dispatcher, StealCoversRefillReturningZeroWhilePeersHoldWork) {
   SinglePhase s = make_single_phase(8);
   ExecConfig cfg;
   cfg.grain = 1;
-  ExecutiveCore core(s.prog, cfg);
-  core.start();
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 1, .workers = 2, .batch = 8});
+  ex.start();
 
   sched::Dispatcher d({/*workers=*/2, /*batch=*/8, true, true});
   std::vector<Ticket> done0, done1;
   // Worker 0 over-refills: the whole phase lands in its local queue.
-  ASSERT_EQ(d.refill(core, 0, done0).refilled, 8u);
+  ASSERT_EQ(d.refill(ex, 0, done0).refilled, 8u);
   // Worker 1's refill returns zero — the executive is dry — while its peer
   // holds every assignment: the exact situation stealing exists for.
-  const sched::RefillOutcome rr = d.refill(core, 1, done1);
+  const sched::RefillOutcome rr = d.refill(ex, 1, done1);
   EXPECT_EQ(rr.refilled, 0u);
-  EXPECT_FALSE(core.work_available());
-  EXPECT_FALSE(core.finished());
+  EXPECT_FALSE(ex.work_available());
+  EXPECT_FALSE(ex.finished());
   EXPECT_TRUE(d.stealable_by(1));
   EXPECT_TRUE(d.any_local_work());
 
@@ -257,13 +265,13 @@ TEST(Dispatcher, StealCoversRefillReturningZeroWhilePeersHoldWork) {
   rt::BodyTable bodies;
   bodies.set(s.p, [](GranuleRange, WorkerId) {});
   sched::BodyLoopStats stats;
-  for (int rounds = 0; rounds < 8 && !core.finished(); ++rounds) {
+  for (int rounds = 0; rounds < 8 && !ex.finished(); ++rounds) {
     d.drain_local(bodies, 0, done0, stats);
-    d.refill(core, 0, done0);
+    d.refill(ex, 0, done0);
     d.drain_local(bodies, 1, done1, stats);
-    d.refill(core, 1, done1);
+    d.refill(ex, 1, done1);
   }
-  EXPECT_TRUE(core.finished());
+  EXPECT_TRUE(ex.finished());
   EXPECT_EQ(stats.granules, 8u);
   EXPECT_FALSE(d.any_local_work());
 }
@@ -272,13 +280,14 @@ TEST(Dispatcher, StealRateSignalHalvesEffectiveGrain) {
   SinglePhase s = make_single_phase(64);
   ExecConfig cfg;
   cfg.grain = 16;
-  ExecutiveCore core(s.prog, cfg);
-  core.start();
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 1, .workers = 2, .batch = 4});
+  ex.start();
 
   sched::Dispatcher d({2, 4, true, true});  // window = 16 events
   std::vector<Ticket> done;
-  ASSERT_GT(d.refill(core, 0, done).refilled, 1u);
-  EXPECT_EQ(core.effective_grain(), 16u);
+  ASSERT_GT(d.refill(ex, 0, done).refilled, 1u);
+  EXPECT_EQ(ex.core_unsynchronized().effective_grain(), 16u);
 
   // Ping-pong one steal per event: a window of pure steals must raise the
   // grain shift, and the next refill applies it to the core.
@@ -288,9 +297,9 @@ TEST(Dispatcher, StealRateSignalHalvesEffectiveGrain) {
     }
   }
   EXPECT_GT(d.grain_shift(), 0u);
-  d.refill(core, 1, done);
-  EXPECT_LT(core.effective_grain(), 16u);
-  EXPECT_GE(core.effective_grain(), 1u);
+  d.refill(ex, 1, done);
+  EXPECT_LT(ex.core_unsynchronized().effective_grain(), 16u);
+  EXPECT_GE(ex.core_unsynchronized().effective_grain(), 1u);
 }
 
 TEST(ExecutiveGrainLimit, ConcurrentPublishIsRaceFree) {
@@ -397,7 +406,7 @@ TEST(ShardedExecutive, DepositsRetireInOneCoalescedSweep) {
   ExecConfig cfg;
   cfg.grain = 1;
   ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
-                      {.shards = 2, .workers = 2, .batch = 2, .flush = 64});
+                      {.shards = 2, .workers = 2, .batch = 16});
   ex.start();
 
   // Hand out everything across both "workers".
@@ -412,8 +421,9 @@ TEST(ShardedExecutive, DepositsRetireInOneCoalescedSweep) {
   }
   EXPECT_EQ(all.size(), 16u);
 
-  // Both workers deposit half the tickets each; the flush threshold (64) is
-  // never crossed, so retirement waits for the dry-probe sweep.
+  // Both workers deposit half the tickets each; the flush threshold (2 x
+  // batch = 32) is never crossed, so retirement waits for the dry-probe
+  // sweep.
   for (std::size_t i = 0; i < all.size(); ++i)
     (i % 2 == 0 ? done0 : done1).push_back(all[i].ticket);
   std::vector<Assignment> unused;
@@ -612,8 +622,11 @@ TEST(Dispatcher, RetireRetiresWithoutPullingWork) {
 }
 
 TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
-  // shards = 1 must reproduce the PR 3 protocol exactly: same handout
-  // ranges in the same order, one control section per refill.
+  // shards = 1 must reproduce the single-mutex protocol exactly: the
+  // handout ranges and order the core's own retire/request cycle produces,
+  // one control section per refill. The reference drives the core
+  // directly: retire the previous batch, then request a local queue's
+  // worth.
   SinglePhase s1 = make_single_phase(24);
   SinglePhase s2 = make_single_phase(24);
   ExecConfig cfg;
@@ -621,29 +634,32 @@ TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
 
   ExecutiveCore core(s1.prog, cfg);
   core.start();
-  sched::Dispatcher d_direct({1, 4, false, false});
   ShardedExecutive ex(s2.prog, cfg, CostModel::free_of_charge(),
                       {.shards = 1, .workers = 1, .batch = 4});
   ex.start();
-  sched::Dispatcher d_shard({1, 4, false, false});
-
-  rt::BodyTable bodies;
-  bodies.set(s1.p, [](GranuleRange, WorkerId) {});
+  sched::Dispatcher d({1, 4, false, false});
 
   std::vector<Ticket> done_a, done_b;
-  sched::BodyLoopStats stats;
+  std::vector<Assignment> direct;
   for (int round = 0; round < 16 && !(core.finished() && ex.finished());
        ++round) {
-    const sched::RefillOutcome ra = d_direct.refill(core, 0, done_a);
-    const sched::RefillOutcome rb = d_shard.refill(ex, 0, done_b);
-    EXPECT_EQ(ra.refilled, rb.refilled);
-    Assignment a, b;
+    if (!done_a.empty()) {
+      (void)core.complete_batch(done_a);
+      done_a.clear();
+    }
+    direct.clear();
+    core.request_work_batch(0, d.capacity(), direct);
+    const std::uint64_t sections = ex.stats().control_acquisitions;
+    const sched::RefillOutcome rb = d.refill(ex, 0, done_b);
+    EXPECT_EQ(direct.size(), rb.refilled);
+    EXPECT_EQ(ex.stats().control_acquisitions, sections + 1);
     std::vector<std::pair<GranuleId, GranuleId>> seq_a, seq_b;
-    while (d_direct.pop_local(0, a)) {
+    for (const Assignment& a : direct) {
       seq_a.emplace_back(a.range.lo, a.range.hi);
       done_a.push_back(a.ticket);
     }
-    while (d_shard.pop_local(0, b)) {
+    Assignment b;
+    while (d.pop_local(0, b)) {
       seq_b.emplace_back(b.range.lo, b.range.hi);
       done_b.push_back(b.ticket);
     }

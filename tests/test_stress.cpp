@@ -111,7 +111,7 @@ TEST(Stress, ThreeRuntimeSweepShard7) { run_shard(7, 8); }
 /// injected into the bodies (testing_util.hpp run_fault_checked) — the
 /// exception barrier, retry machinery and fault accounting must preserve
 /// exactly-once retirement and the stats-sum identities on both runtimes
-/// and both shard engines.
+/// and every shard geometry.
 void run_fault_shard(std::uint64_t shard, std::uint64_t n_shards) {
   if (const char* replay = std::getenv("PAX_STRESS_SEED");
       replay != nullptr && *replay != '\0') {

@@ -59,10 +59,6 @@ struct GeneratedProgram {
   std::uint32_t workers = 2;
   std::uint32_t batch = 1;
   std::uint32_t shards = kAutoShards;
-  /// Shard warm-path engine: lock-free rings (the default) or the retained
-  /// mutex baseline — seeded so the stress sweep keeps both engines (and
-  /// their differing census disciplines) under TSAN and the rank validator.
-  bool lockfree = true;
   bool steal = true;
   bool adaptive_grain = true;
   /// Pool cancel point: also submit a throwaway job and cancel it.
@@ -178,9 +174,6 @@ inline GeneratedProgram generate_program(std::uint64_t seed) {
     g.shards = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(pick(2, 6), max_n));
   }  // else: kAutoShards
-  // Lock-free engine on ~3 of 4 seeds (it is the shipped default); the rest
-  // keep the mutex baseline exercised.
-  g.lockfree = pick(0, 3) != 0;
   g.steal = pick(0, 3) != 0;
   g.adaptive_grain = pick(0, 1) == 1;
   g.cancel_second_job = pick(0, 2) == 0;
@@ -422,7 +415,6 @@ inline rt::RtResult run_threaded_checked(const GeneratedProgram& g) {
   rc.workers = g.workers;
   rc.batch = g.batch;
   rc.shards = g.shards;
-  rc.lockfree = g.lockfree;
   rc.steal = g.steal;
   rc.adaptive_grain = g.adaptive_grain;
   // run() PAX_CHECKs program completion and the shard census internally.
@@ -453,7 +445,6 @@ inline void run_pool_checked(const GeneratedProgram& g) {
   pc.workers = g.workers;
   pc.batch = g.batch;
   pc.shards = g.shards;
-  pc.lockfree = g.lockfree;
   pc.steal = g.steal;
   pc.adaptive_grain = g.adaptive_grain;
 
@@ -609,7 +600,6 @@ inline void run_serve_checked(const GeneratedProgram& g) {
   pc.workers = g.workers;
   pc.batch = g.batch;
   pc.shards = g.shards;
-  pc.lockfree = g.lockfree;
   pc.steal = g.steal;
   pc.adaptive_grain = g.adaptive_grain;
   pc.policy = pool::SchedPolicy::kDeadline;
@@ -769,7 +759,7 @@ inline void run_sim_checked(const GeneratedProgram& g) {
 /// Fault-dimension stress (DESIGN.md §15): seed a plan of transient faults
 /// (each site throws a bounded number of times, then succeeds on retry) and
 /// run the generated program through the threaded runtime AND the pool on
-/// the seed's shard engine, checking that the barrier + retry machinery
+/// the seed's shard geometry, checking that the barrier + retry machinery
 /// preserves every invariant the fault-free sweep pins:
 ///
 ///   * exactly-once retirement of every granule (a throwing attempt records
@@ -820,7 +810,6 @@ inline void run_fault_checked(std::uint64_t seed) {
     rc.workers = g.workers;
     rc.batch = g.batch;
     rc.shards = g.shards;
-    rc.lockfree = g.lockfree;
     rc.steal = g.steal;
     rc.adaptive_grain = g.adaptive_grain;
     rc.max_granule_retries = kBudget;
@@ -870,7 +859,6 @@ inline void run_fault_checked(std::uint64_t seed) {
     pc.workers = g.workers;
     pc.batch = g.batch;
     pc.shards = g.shards;
-    pc.lockfree = g.lockfree;
     pc.steal = g.steal;
     pc.adaptive_grain = g.adaptive_grain;
     ExecConfig ec = g.exec;
