@@ -26,7 +26,8 @@
 // depth).
 //
 // `--check` runs the correctness matrix instead (small programs x shard
-// geometries x all three runtimes' invariants, plus the ring-pop cross-check)
+// geometries x the stress harness's threaded, pool and simulator checks,
+// plus the ring-pop cross-check)
 // — the mode the TSAN CI job executes so shard-boundary and ring publish/
 // consume races surface under ThreadSanitizer rather than in a perf gate.
 #include <algorithm>

@@ -21,8 +21,9 @@
 //   1     job       pool::detail::Job::mu                 nothing ranked
 //   2     queue     sched::LocalRunQueue::mu_             job (the finalize
 //                                                         path's peak probe)
-//   3     pool      pool::PoolRuntime::mu_                nothing ranked
-//   4     sleep     rt::ThreadedRuntime::mu_              nothing ranked
+//   3     pool      pool::detail::PoolCtl::mu             nothing ranked
+//   4     sleep     pool::PoolRuntime::wd_mu_             nothing ranked
+//                   (the watchdog's sleep mutex)
 //
 // Ranking job *below* queue (and below pool, above control) is what makes
 // the validator teeth match the documented pool discipline: an executive
@@ -72,7 +73,7 @@ enum class LockRank : std::uint8_t {
   kJob = 1,      ///< pool job bookkeeping
   kQueue = 2,    ///< per-worker local run-queue ring
   kPool = 3,     ///< pool runnable list + worker accounting
-  kSleep = 4,    ///< threaded-runtime sleep/accounting mutex
+  kSleep = 4,    ///< watchdog sleep mutex (held alone)
 };
 
 /// Tag for deliberate same-rank acquisition (a batch of same-rank locks

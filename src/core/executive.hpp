@@ -16,8 +16,9 @@
 // Drivers give it time and concurrency:
 //   * sim::Machine calls it at discrete-event times and bills the management
 //     charges it accrues as executive busy-time;
-//   * rt::ThreadedRuntime serialises calls with a mutex and lets real
-//     std::jthread workers execute the assignments.
+//   * pool::PoolRuntime (and rt::ThreadedRuntime, a one-job pool)
+//     serialises calls with a mutex and lets real std::jthread workers
+//     execute the assignments.
 // Under the sharded executive the serialising mutex is the control mutex,
 // and the core member is PAX_GUARDED_BY it (DESIGN.md §11) — the
 // thread-safety analysis rejects any new call path that reaches the core

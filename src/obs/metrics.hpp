@@ -87,6 +87,16 @@ struct MetricsSnapshot {
     v.value = value;
     values.push_back(std::move(v));
   }
+
+  /// Overwrite the named counter/gauge value, or push it as a counter.
+  void set(std::string_view name, std::uint64_t value) {
+    for (MetricValue& v : values)
+      if (v.name == name) {
+        v.value = value;
+        return;
+      }
+    push(std::string(name), value);
+  }
 };
 
 class MetricsRegistry {

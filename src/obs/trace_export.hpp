@@ -2,8 +2,9 @@
 //
 // Output is the Chrome trace-event JSON format (a {"traceEvents": [...]}
 // object), which both chrome://tracing and ui.perfetto.dev open directly:
-//   * one *process* lane per pool job (the threaded runtime and the sim
-//     share the kNoTraceJob lane, named "pax");
+//   * one *process* lane per pool job (a threaded run is job 0); the sim,
+//     and the pool workers' sleep spans, use the kNoTraceJob lane, named
+//     "pax";
 //   * one *thread* track per worker, plus a "control" track for the
 //     executive's structural events;
 //   * exec begin/end pairs become complete ("X") duration events, sleep/wake

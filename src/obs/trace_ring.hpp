@@ -105,8 +105,9 @@ enum class TraceKind : std::uint8_t {
   return "?";
 }
 
-/// "No pool job": the threaded runtime and the simulator trace under this
-/// id; the exporter renders them as one process lane.
+/// "No pool job": the simulator traces under this id, and pool workers tag
+/// their sleep/wake records with it; the exporter renders it as one
+/// process lane. (A threaded run is job 0 of its private pool.)
 inline constexpr std::uint64_t kNoTraceJob = ~std::uint64_t{0};
 
 /// Worker id of the control track (records emitted under the executive

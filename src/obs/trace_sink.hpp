@@ -9,10 +9,12 @@
 // TraceRecords and drops the rest; an optional `next` sink keeps the old
 // observer idiom composable (trace AND a test observer on the same core).
 //
-// The pool runtime deliberately does NOT install this sink: its jobs have
-// independent control mutexes, so two workers sweeping *different* jobs
-// would race on the one shared control ring. Pool timelines come from the
-// worker-side records (exec spans + job lifecycle) instead.
+// A pool with many jobs deliberately does NOT install this sink: its jobs
+// have independent control mutexes, so two workers sweeping *different*
+// jobs would race on the one shared control ring. Pool timelines come from
+// the worker-side records (exec spans + job lifecycle) instead. A threaded
+// run installs it on the one job of its private pool — one control mutex,
+// one writer.
 #pragma once
 
 #include "core/executive.hpp"
@@ -23,7 +25,7 @@ namespace pax::obs {
 class TraceEventSink final : public ExecEventSink {
  public:
   /// `ring` should be the TraceBuffer's control ring; `job` tags the lane
-  /// (kNoTraceJob for the threaded runtime and the sim). Non-owning `next`
+  /// (kNoTraceJob for the sim; job 0 for a threaded run). Non-owning `next`
   /// is invoked after the record is written, for every event (including the
   /// kinds this sink does not record).
   explicit TraceEventSink(TraceRing& ring, std::uint64_t job = kNoTraceJob,

@@ -119,11 +119,12 @@ struct Job {
   /// mutex), so workers call it without holding `mu`.
   ShardedExecutive exec;
 
-  /// Back-reference to the pool's shared control block, set by submit()
-  /// before the job is published anywhere (then never written again — the
-  /// shared_ptr publication carries it). Weak: handles hold the job alive,
-  /// but must not keep a destroyed pool's bookkeeping alive with it —
-  /// lock() failing is how cancel() learns the pool is gone.
+  /// Back-reference to the pool's shared control block, set by
+  /// PoolRuntime::publish() before the job is published anywhere (then
+  /// never written again — the shared_ptr publication carries it). Weak:
+  /// handles hold the job alive, but must not keep a destroyed pool's
+  /// bookkeeping alive with it — lock() failing is how cancel() learns the
+  /// pool is gone.
   std::weak_ptr<PoolCtl> ctl;
 
   // --- guarded by mu (job bookkeeping only) --------------------------------

@@ -1,6 +1,7 @@
 #include "pool/pool_runtime.hpp"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
@@ -31,6 +32,7 @@ PoolRuntime::PoolRuntime(PoolConfig config)
   mid_.wall_ns = metrics_.register_counter("worker.wall_ns");
   mid_.steals = metrics_.register_counter("worker.steals");
   mid_.steal_fails = metrics_.register_counter("worker.steal_fail_spins");
+  mid_.wait_wakeups = metrics_.register_counter("worker.wait_wakeups");
   mid_.rotations = metrics_.register_counter("worker.rotations");
   mid_.job_locks = metrics_.register_counter("worker.job_lock_acquisitions");
   mid_.faulted = metrics_.register_counter("worker.faulted");
@@ -72,21 +74,29 @@ JobHandle PoolRuntime::submit(const PhaseProgram& program,
     PAX_CHECK_MSG(!ctl_->stop, "submit on a stopped pool");
     id = ctl_->next_id++;
   }
-  // Trace records from this job's executive/dispatcher carry its id, so the
-  // exporter can lane them per job even though the rings are per worker.
-  const ShardConfig shard_config{
-      .shards = opts.shards != kAutoShards ? opts.shards : config_.shards,
-      .workers = config_.workers,
-      .batch = config_.batch,
-      .trace = config_.trace,
-      .trace_job = id};
-  sched::DispatchConfig dispatch = dispatch_config();
-  dispatch.trace_job = id;
   // Job construction (executive setup) happens outside the pool lock.
-  auto job = std::make_shared<detail::Job>(id, opts.priority, program, bodies,
-                                           config, opts.costs, dispatch,
-                                           shard_config, deadline_tp,
-                                           opts.granule_timeout);
+  return publish(make_job(config_, id, program, bodies, config, opts, deadline_tp));
+}
+
+std::shared_ptr<detail::Job> PoolRuntime::make_job(
+    const PoolConfig& c, std::uint64_t id, const PhaseProgram& program,
+    const rt::BodyTable& bodies, ExecConfig config, const SubmitOptions& opts,
+    std::chrono::steady_clock::time_point deadline) {
+  const ShardConfig shard_config{
+      .shards = opts.shards != kAutoShards ? opts.shards : c.shards,
+      .workers = c.workers,
+      .batch = c.batch,
+      .trace = c.trace,
+      .trace_job = id};
+  sched::DispatchConfig dispatch = dispatch_config(c);
+  dispatch.trace_job = id;
+  return std::make_shared<detail::Job>(id, opts.priority, program, bodies,
+                                       config, opts.costs, dispatch,
+                                       shard_config, deadline,
+                                       opts.granule_timeout);
+}
+
+JobHandle PoolRuntime::publish(std::shared_ptr<detail::Job> job) {
   // Back-reference set before the job is published anywhere (handle or job
   // list); never written again.
   job->ctl = ctl_;
@@ -132,7 +142,7 @@ JobHandle PoolRuntime::submit(const PhaseProgram& program,
   ctl_->cv.notify_all();
   // A timeout-carrying job starts the watchdog polling (pass through wd_mu_
   // so a watchdog between its job scan and its wait cannot miss the wake).
-  if (opts.granule_timeout.count() > 0) {
+  if (job->granule_timeout.count() > 0) {
     { RankedLock lock(wd_mu_); }
     wd_cv_.notify_all();
   }
@@ -237,7 +247,7 @@ PoolStats PoolRuntime::stats() const {
 void PoolRuntime::worker_main(WorkerId id) {
   const auto enter = std::chrono::steady_clock::now();
   std::vector<Ticket> done;
-  done.reserve(dispatch_config().effective_capacity());
+  done.reserve(dispatch_config(config_).effective_capacity());
   sched::BodyLoopStats totals;  // everything this worker executed
   sched::BodyLoopStats delta;   // executed since the last merge into the job
   std::uint64_t steal_delta = 0;
@@ -245,6 +255,7 @@ void PoolRuntime::worker_main(WorkerId id) {
   std::uint64_t rotations = 0;
   std::uint64_t steals = 0;
   std::uint64_t steal_fails = 0;
+  std::uint64_t wait_wakeups = 0;
   std::uint64_t last_resident = kNoJobId;
   std::shared_ptr<detail::Job> job;  // resident job
   // Drained job this worker gave up; the next pick settles it under the
@@ -279,6 +290,7 @@ void PoolRuntime::worker_main(WorkerId id) {
   };
 
   while (true) {
+    bool readopted = false;  // picked the job it just gave up, awake
     if (job == nullptr) {
       PAX_DCHECK(done.empty());
       RankedUniqueLock lock(ctl_->mu);
@@ -288,17 +300,21 @@ void PoolRuntime::worker_main(WorkerId id) {
       // the address is only compared, while the pool mutex is held and the
       // job list keeps the job alive.
       const detail::Job* reopened = nullptr;
+      std::uint64_t gave_up = kNoJobId;
       if (released != nullptr) {
         reopened = ctl_->settle_locked(*released, !released_left);
+        gave_up = released->id;
         released.reset();
       }
       // Explicit wait loop: the predicate touches guarded state, which
       // the analysis cannot track through a lambda.
       if (!ctl_->stop && !ctl_->any_runnable_locked()) {
         reopened = nullptr;  // no longer pickable: a later flip wakes anyway
+        gave_up = kNoJobId;  // slept: whatever it picks next is new work
         trace_event(id, kNoJobId, obs::TraceKind::kSleep);
         while (!ctl_->stop && !ctl_->any_runnable_locked()) ctl_->cv.wait(lock);
         trace_event(id, kNoJobId, obs::TraceKind::kWake);
+        ++wait_wakeups;  // one per park, like the kWake records
       }
       job = ctl_->pick_job_locked(config_.policy);
       if (reopened != nullptr && job.get() != reopened) ctl_->cv.notify_all();
@@ -316,7 +332,15 @@ void PoolRuntime::worker_main(WorkerId id) {
         if (last_resident != kNoJobId) ++rotations;
         last_resident = job->id;
       }
+      readopted = job->id == gave_up;
     }
+    // Re-adopting the job this worker just gave up, without sleeping: its
+    // round found nothing, yet the census keeps the job pickable — a peer's
+    // sweep is in flight (sweep entry is a try-lock), or a scatter has
+    // counted work it has not pushed yet. Yield once, pool mutex released,
+    // so a sweeper descheduled mid-section gets the CPU back instead of this
+    // worker spinning a pool-mutex and job-mutex round until it runs.
+    if (readopted) std::this_thread::yield();
 
     // One adoption round on the resident job: a short bookkeeping section
     // (merge body accounting, open on first adoption), then — with no job
@@ -485,6 +509,7 @@ void PoolRuntime::worker_main(WorkerId id) {
   metrics_.add(mid_.wall_ns, id, static_cast<std::uint64_t>(wall.count()));
   metrics_.add(mid_.steals, id, steals);
   metrics_.add(mid_.steal_fails, id, steal_fails);
+  metrics_.add(mid_.wait_wakeups, id, wait_wakeups);
   metrics_.add(mid_.rotations, id, rotations);
   metrics_.add(mid_.job_locks, id, locks);
   metrics_.add(mid_.faulted, id, totals.faulted);
@@ -569,9 +594,10 @@ void PoolRuntime::watchdog_escalate(const std::shared_ptr<detail::Job>& job,
     }
   }
   if (!flagged) return;
-  // kWatchdogFlag goes on the control track: the pool installs no
-  // control-track core sink (see PoolConfig::trace), so the watchdog is
-  // that ring's only writer — the single-writer contract holds.
+  // kWatchdogFlag goes on the control track: submit() installs no
+  // control-track core sink (see PoolConfig::trace), and the one job that
+  // carries one, a threaded run's, has no granule timeout, so the watchdog
+  // is that ring's only writer — the single-writer contract holds.
   if (config_.trace != nullptr) {
     obs::TraceRecord r;
     r.ts_ns = obs::trace_now_ns();

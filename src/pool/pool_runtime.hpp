@@ -1,13 +1,14 @@
 // pool_runtime.hpp — a shared worker pool executing many PhasePrograms
 // concurrently, so rundown tails overlap *across* programs.
 //
-// rt::ThreadedRuntime fills a phase's rundown with successor-phase granules,
-// but still owns its threads and runs one program to completion — the same
-// utilization collapse the paper fixes inside a program reappears at program
-// scope: the last program's rundown idles the whole pool. PoolRuntime hosts
-// one long-lived set of std::jthread workers and many jobs, each wrapping
-// its own ExecutiveCore behind its own mutex. The worker loop generalizes
-// the batched handoff into a two-level pick:
+// This is the repo's one worker loop. rt::ThreadedRuntime runs a single
+// program on a private one-job pool, so a threaded run is a pool job with
+// no deadline; here many jobs share one long-lived set of std::jthread
+// workers, each job wrapping its own sharded executive behind its own
+// mutex, so the utilization collapse the paper fixes inside a program
+// (the last program's rundown idling the pool) is fixed at program scope
+// too. The worker loop generalizes the batched handoff into a two-level
+// pick:
 //
 //   level 1 — prefer the resident job while its waiting queue is non-empty
 //             (the single-program loop, via the shared sched::Dispatcher),
@@ -47,14 +48,18 @@
 #include "pool/scheduler_policy.hpp"
 #include "sched/dispatcher.hpp"
 
+namespace pax::rt {
+class ThreadedRuntime;
+}  // namespace pax::rt
+
 namespace pax::pool {
 
 struct PoolConfig {
   std::uint32_t workers = 4;
   /// Refill floor and the no-steal local-queue capacity, per resident job;
   /// with stealing on, one job-executive critical section may retire/pull
-  /// up to the local queue capacity of 2x batch. Same default as
-  /// RtConfig::batch (sched::kDefaultBatch).
+  /// up to the local queue capacity of 2x batch (sched::kDefaultBatch, the
+  /// value RtConfig::batch passes through).
   std::uint32_t batch = sched::kDefaultBatch;
   /// Which runnable job a rotating worker adopts. Under kDeadline and
   /// kPriority, which rank by urgency fixed at submit, an arrival that
@@ -83,10 +88,11 @@ struct PoolConfig {
   /// for >= `workers`). Null = tracing off. When set, workers write exec/
   /// refill/steal records tagged with the resident job's id plus job
   /// open/drain/finalize and sleep/wake lifecycle records into their own
-  /// rings. The pool installs NO control-track core sink: two workers
+  /// rings. submit() installs NO control-track core sink: two workers
   /// resident on different jobs hold independent control mutexes, so a
   /// shared control ring would lose its single-writer contract — job lanes
-  /// come from the worker-side records (DESIGN.md §12).
+  /// come from the worker-side records (DESIGN.md §12). rt::ThreadedRuntime
+  /// installs one on its one job, the only writer of its private pool.
   obs::TraceBuffer* trace = nullptr;
 };
 
@@ -156,14 +162,31 @@ class PoolRuntime {
   [[nodiscard]] const PoolConfig& config() const { return config_; }
 
  private:
-  /// The per-job dispatch-layer configuration this pool submits with.
-  [[nodiscard]] sched::DispatchConfig dispatch_config() const {
-    return {.workers = config_.workers,
-            .batch = config_.batch,
-            .steal = config_.steal,
-            .adaptive_grain = config_.adaptive_grain,
-            .trace = config_.trace};
+  /// rt::ThreadedRuntime builds its one job at construction and hands it to
+  /// a private pool in run(): make_job() and publish() are its way in.
+  friend class rt::ThreadedRuntime;
+
+  /// The per-job dispatch-layer configuration a pool under `c` submits with.
+  [[nodiscard]] static sched::DispatchConfig dispatch_config(const PoolConfig& c) {
+    return {.workers = c.workers,
+            .batch = c.batch,
+            .steal = c.steal,
+            .adaptive_grain = c.adaptive_grain,
+            .trace = c.trace};
   }
+
+  /// Build job `id` (executive setup; takes no pool lock) with the shard and
+  /// dispatch geometry of a pool under `c`. Its trace records carry `id`,
+  /// so the exporter can lane them per job even though the rings are per
+  /// worker.
+  [[nodiscard]] static std::shared_ptr<detail::Job> make_job(
+      const PoolConfig& c, std::uint64_t id, const PhaseProgram& program,
+      const rt::BodyTable& bodies, ExecConfig config, const SubmitOptions& opts,
+      std::chrono::steady_clock::time_point deadline);
+
+  /// Admit a built job (or reject it under max_pending) and wake the
+  /// workers: the publication half of submit().
+  JobHandle publish(std::shared_ptr<detail::Job> job);
 
   void worker_main(WorkerId id);
   /// Emit a worker-track job-lifecycle record (no-op when tracing is off).
@@ -193,8 +216,8 @@ class PoolRuntime {
   obs::MetricsRegistry metrics_;
   struct MetricIds {
     obs::MetricId tasks, granules, busy_ns, wall_ns, steals, steal_fails,
-        rotations, job_locks, faulted, jobs_capped, cap_lifts, cap_leaves,
-        preempt_leaves;
+        wait_wakeups, rotations, job_locks, faulted, jobs_capped, cap_lifts,
+        cap_leaves, preempt_leaves;
   } mid_{};
 
   /// Shared control block (detail::PoolCtl, job.hpp): the pool mutex, the

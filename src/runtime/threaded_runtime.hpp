@@ -1,53 +1,48 @@
-// threaded_runtime.hpp — execute a PhaseProgram on real std::jthread workers.
+// threaded_runtime.hpp — execute one PhaseProgram on real std::jthread
+// workers and return when it finishes.
 //
-// The executive is wrapped in a core::ShardedExecutive (DESIGN.md §9): the
-// granule handout is partitioned across RtConfig::shards lock-free shard
-// rings, so two workers refilling different shards never contend, and the
-// single-threaded ExecutiveCore is entered only for control
-// sweeps (coalesced retire + re-scatter). With shards = 1 the layer
-// short-circuits to the PR 3 protocol — one mutex section per refill — which
-// is the baseline bench_t9_shard gates against. Setting
+// A threaded run is a pool job with no deadline: ThreadedRuntime is a facade
+// over a private one-job pool::PoolRuntime (kFifo, unbounded admission),
+// so the repo runs one worker loop, PoolRuntime::worker_main. The job is
+// built at construction — its executive wrapped in a core::ShardedExecutive
+// (DESIGN.md §9) whose granule handout is partitioned across RtConfig::shards
+// lock-free shard rings, so two workers refilling different shards never
+// contend, and the single-threaded ExecutiveCore is entered only for control
+// sweeps (coalesced retire + re-scatter). run() spawns the pool, hands it
+// the job, waits for it and shuts the pool down. Setting
 // ExecConfig::overlap = false yields the strict-barrier baseline on
 // identical machinery, which is how the speedup benches isolate the effect
 // of phase overlap.
 //
-// Dispatch stays decentralized through the shared sched::Dispatcher
+// Dispatch stays decentralized through the job's sched::Dispatcher
 // (DESIGN.md §8): each worker owns a bounded local run-queue refilled from
 // its home shard, and when shards, executive and local queue all run dry —
 // the rundown signal — the worker steals a FIFO range from the most-loaded
-// peer. A steal-rate signal adaptively halves the effective grain (published
-// through the core's *atomic* grain limit, since the publisher holds no
-// executive lock). Condition-variable notifications pass through the sleep
-// mutex after work is made visible, closing the lost-wakeup window the
-// census atomics would otherwise open.
+// peer. A steal-rate signal adaptively halves the effective grain.
+//
+// What the pool loop brings to a threaded run (DESIGN.md §7): the residency
+// rule applies, so a management-bound program (control plane costlier than
+// its bodies) runs on one resident until its bodies outweigh it again; a
+// run never rotates (there is no other job) and never preempts (kFifo).
 //
 // Concurrency follows the C++ Core Guidelines CP rules: jthread-only (no
 // detach), RAII locks, condition waits with predicates, data passed by
 // value across threads. Note one documented exception to CP.22: inter-phase
 // serial actions registered in the program run on the completing worker's
 // thread while the executive control mutex is held — keep them short.
-//
-// Concurrency discipline (DESIGN.md §11): the per-worker accounting is
-// PAX_GUARDED_BY the sleep mutex (rank: sleep — held alone, never nested
-// under an executive or queue lock), and the condition variable is a
-// condition_variable_any so waits release/reacquire through the ranked
-// mutex's annotated methods.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/lock_rank.hpp"
-#include "common/thread_annotations.hpp"
 #include "core/executive.hpp"
 #include "core/sharded_executive.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
+#include "pool/pool_runtime.hpp"
 #include "runtime/body_table.hpp"
 #include "sched/dispatcher.hpp"
 
@@ -70,20 +65,13 @@ struct RtConfig {
   bool steal = true;
   /// Steal-rate signal halves the effective grain during rundown.
   bool adaptive_grain = true;
-  /// Fault containment (DESIGN.md §15): how many times a faulted granule
-  /// range is re-enqueued before its granules are poisoned and the program
-  /// ends in the faulted terminal. Mirrored into ExecConfig at construction
-  /// — the runtime knob is authoritative for threaded runs.
-  std::uint32_t max_granule_retries = 2;
-  /// Base of the exponential retry backoff, in executive completion ticks
-  /// (see ExecConfig::retry_backoff_ticks). Mirrored like the retry budget.
-  std::uint32_t retry_backoff_ticks = 1;
   /// Optional trace buffer (non-owning; must outlive the runtime and be
   /// sized for >= `workers`). Null = tracing off: every emit site in the
   /// executive, dispatcher and worker loop is one untaken branch. When set,
-  /// workers write exec/refill/steal/sleep records into their own rings and
-  /// the run installs a control-track sink for structural events
-  /// (DESIGN.md §12); read the rings after run() returns.
+  /// workers write exec/refill/steal/sleep and job-lifecycle records into
+  /// their own rings, and the run installs a control-track sink for
+  /// structural events on its one job's core (DESIGN.md §12); read the
+  /// rings after run() returns.
   obs::TraceBuffer* trace = nullptr;
 };
 
@@ -93,20 +81,22 @@ struct RtResult {
   /// Per worker, drain spans (BodyLoopStats::busy): body time plus the
   /// per-task bookkeeping between bodies.
   std::vector<std::chrono::nanoseconds> worker_busy;
-  /// Per-worker lifetime measured *inside* worker_main (first instruction to
-  /// last), so thread spawn/join overhead does not dilute utilization().
+  /// Per-worker lifetime measured *inside* the pool's worker_main (first
+  /// instruction to last), so thread spawn/join overhead does not dilute
+  /// utilization().
   std::vector<std::chrono::nanoseconds> worker_wall;
   std::uint64_t tasks_executed = 0;
   std::uint64_t granules_executed = 0;
-  /// Executive contention metric: control-mutex sections plus condition-wait
-  /// returns — the sum of the two fields below (kept as a total because the
-  /// t6/t8/t9 gates compare it).
+  /// Executive contention metric: control-mutex sections plus parks — the
+  /// sum of the two fields below (kept as a total because the t6/t8/t9
+  /// gates compare it).
   std::uint64_t exec_lock_acquisitions = 0;
   /// Control-plane mutex sections on the sharded executive (start, sweeps,
   /// single-shard refills, idle work, conflicting submissions). Shard-buffer
   /// hits never appear here — that is the decontention t9 measures.
   std::uint64_t refill_lock_acquisitions = 0;
-  /// Condition-wait returns — counted separately so contention on the
+  /// Parks on the pool's condition variable, one per sleep (the
+  /// worker.wait_wakeups cell) — counted separately so contention on the
   /// handoff is not conflated with sleeping through genuine work droughts.
   std::uint64_t wait_lock_acquisitions = 0;
   /// Total nanoseconds workers spent at the control plane, acquire-to-
@@ -160,9 +150,11 @@ struct RtResult {
   pax::MgmtLedger ledger;
   std::vector<std::string> diagnostics;
   /// The unified metrics snapshot (obs/metrics.hpp): every counter above
-  /// plus per-worker accumulations under stable dotted names, so benches
-  /// and JSON reports read one uniform surface. The legacy fields stay for
-  /// source compatibility; test_obs pins the two views equal.
+  /// plus the private pool's per-worker accumulations and pool-plane values
+  /// (worker.rotations, pool.jobs_capped, pool.preempt_leaves, ...) under
+  /// stable dotted names, so benches and JSON reports read one uniform
+  /// surface. The legacy fields stay for source compatibility; test_obs
+  /// pins the two views equal.
   obs::MetricsSnapshot metrics;
 
   /// Fraction of total worker wall-time spent busy (worker_busy: drain
@@ -172,81 +164,27 @@ struct RtResult {
 
 class ThreadedRuntime {
  public:
+  /// Validates `rt_config` and builds the run's job (its executive and
+  /// dispatch layer) — setup stays outside run()'s wall and heap counts.
   ThreadedRuntime(const PhaseProgram& program, ExecConfig config, CostModel costs,
                   const BodyTable& bodies, RtConfig rt_config);
 
-  /// Run the program to completion. May be called once.
+  /// Run the program to completion on a private pool of
+  /// `RtConfig::workers` workers. May be called once.
   RtResult run();
 
   /// Dynamically submit a computation conflicting with `blocker`'s run; it
   /// is released at elevated priority when that run completes (immediately
-  /// when it already has). Thread-safe; callable from inside a phase body
-  /// (bodies execute with no executive lock held).
+  /// when it already has). Call it before run() or from inside one of the
+  /// run's phase bodies (bodies execute with no executive lock held).
   void submit_conflicting(RunId blocker, PhaseId phase, GranuleRange range);
 
-  /// Optional: installed on the core as a FunctionEventSink (called under
-  /// the executive control mutex; keep it cheap). Must be set before run().
-  /// Compatibility shim for the retired `core.observer` std::function hook;
-  /// new code should prefer install_event_sink(). NOTE the ExecEvent::text
-  /// borrow rule applies: the view is valid only for the callback's
-  /// duration — copy it to keep it.
-  void set_observer(std::function<void(const ExecEvent&)> obs);
-
-  /// Optional: install a raw sink (non-owning; must outlive run()). Mutually
-  /// chained with tracing — when RtConfig::trace is set, the trace sink runs
-  /// first and forwards every event here.
-  void install_event_sink(ExecEventSink* sink) { user_sink_ = sink; }
-
  private:
-  void worker_main(WorkerId id);
-  /// Pass through the sleep mutex, then notify: orders census flips (made
-  /// inside the executive, never under mu_) against sleepers' predicate
-  /// checks.
-  void wake_all() PAX_EXCLUDES(mu_);
-
-  const PhaseProgram& program_;
-  const BodyTable& bodies_;
-  RtConfig rt_config_;
-
-  ShardedExecutive exec_;
-  sched::Dispatcher dispatcher_;
-
-  /// The unified metrics registry (obs/metrics.hpp): worker-side counters
-  /// accumulate into per-worker cells (each worker writes only its own, at
-  /// worker exit — serialization by construction), and run() folds in the
-  /// control-plane values before snapshotting into RtResult::metrics.
-  obs::MetricsRegistry metrics_;
-  struct MetricIds {
-    obs::MetricId tasks, granules, busy_ns, wall_ns, steals, steal_fails,
-        wait_wakeups, faulted;
-  } mid_{};
-
-  /// Event-sink chain storage. The core holds raw pointers into these, so
-  /// they live on the runtime, installed at run() entry: trace sink first
-  /// (when RtConfig::trace is set), then the user sink / observer shim.
-  std::function<void(const ExecEvent&)> observer_fn_;
-  std::unique_ptr<FunctionEventSink> observer_shim_;
+  pool::PoolConfig config_;
+  /// Control-track sink of a traced run (DESIGN.md §12). Declared before
+  /// job_: the job's core holds a raw pointer to it.
   std::unique_ptr<obs::TraceEventSink> trace_sink_;
-  ExecEventSink* user_sink_ = nullptr;
-
-  /// Sleep/accounting mutex: guards nothing in the executive — only the
-  /// condition variable hand-shake and the per-worker result publication.
-  /// Rank: sleep (the innermost rank; a worker holds no other ranked lock
-  /// when it sleeps or publishes).
-  RankedMutex<LockRank::kSleep> mu_;
-  /// _any variant: waits release/reacquire through RankedUniqueLock's
-  /// annotated lock()/unlock(), keeping rank accounting coherent across
-  /// the wait.
-  std::condition_variable_any cv_;
-
-  std::vector<std::chrono::nanoseconds> busy_ PAX_GUARDED_BY(mu_);
-  std::vector<std::chrono::nanoseconds> worker_wall_ PAX_GUARDED_BY(mu_);
-  std::uint64_t tasks_ PAX_GUARDED_BY(mu_) = 0;
-  std::uint64_t granules_ PAX_GUARDED_BY(mu_) = 0;
-  std::uint64_t wait_locks_ PAX_GUARDED_BY(mu_) = 0;
-  std::uint64_t steals_ PAX_GUARDED_BY(mu_) = 0;
-  std::uint64_t steal_fail_spins_ PAX_GUARDED_BY(mu_) = 0;
-  std::uint64_t granule_faults_ PAX_GUARDED_BY(mu_) = 0;
+  std::shared_ptr<pool::detail::Job> job_;
   /// run-once latch; touched only by the (single) thread that calls run().
   bool ran_ = false;
 };

@@ -27,10 +27,9 @@
 // reproduces the PR 1 batched protocol on the same machinery (how bench_t8
 // baselines the layer).
 //
-// rt::ThreadedRuntime drives one dispatcher for its one core; each
-// pool::PoolRuntime job owns one dispatcher for its own core, so stealing
-// stays within a job (tickets are per-core) while the pool's cross-job
-// rotation handles the rest. The worker-side body-execution half of the old
+// Each pool::PoolRuntime job (a threaded run is a one-job pool) owns one
+// dispatcher for its own core, so stealing stays within a job (tickets are
+// per-core) while the pool's cross-job rotation handles the rest. The worker-side body-execution half of the old
 // runtime/worker_loop.hpp (BodyLoopStats, execute/drain) lives here too:
 // the dispatcher is its new home.
 #pragma once

@@ -77,11 +77,11 @@ TEST(FaultBarrier, TransientFaultRetriesToCompletion) {
   inj.set_throws(0, 40, 2);  // fail twice
   std::atomic<std::uint64_t> sink{0};
   rt::BodyTable bodies = testing::make_faulty_bodies(g, rec, sink, inj);
-  rt::RtConfig rc = config_of(g);
-  rc.max_granule_retries = 4;
+  ExecConfig ec = g.exec;
+  ec.max_granule_retries = 4;
   rt::RtResult res =
-      rt::ThreadedRuntime(g.program, g.exec, CostModel::free_of_charge(),
-                          bodies, rc)
+      rt::ThreadedRuntime(g.program, ec, CostModel::free_of_charge(), bodies,
+                          config_of(g))
           .run();
   rec.expect_exactly_once();  // a throwing attempt records nothing
   EXPECT_FALSE(res.faulted);
@@ -103,14 +103,14 @@ TEST(FaultBarrier, PersistentFaultPoisonsAndFaultsTheRun) {
   inj.set_throws(0, 7, FaultInjector::kAlways);
   std::atomic<std::uint64_t> sink{0};
   rt::BodyTable bodies = testing::make_faulty_bodies(g, rec, sink, inj);
-  rt::RtConfig rc = config_of(g);
-  rc.max_granule_retries = 2;
-  rc.retry_backoff_ticks = 1;
+  ExecConfig ec = g.exec;
+  ec.max_granule_retries = 2;
+  ec.retry_backoff_ticks = 1;
   // No abort, no escaped exception: the barrier + poison path must bring
   // run() back with the faulted terminal.
   rt::RtResult res =
-      rt::ThreadedRuntime(g.program, g.exec, CostModel::free_of_charge(),
-                          bodies, rc)
+      rt::ThreadedRuntime(g.program, ec, CostModel::free_of_charge(), bodies,
+                          config_of(g))
           .run();
   rec.expect_at_most_once();
   EXPECT_TRUE(res.faulted);

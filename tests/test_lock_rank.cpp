@@ -297,9 +297,10 @@ TEST(RankedMutexTryLockDeathTest, SuccessfulOutOfRankTryAbortsWhenChecked) {
 // checked build — these two force traffic through every re-scoped guard:
 // control sweeps + ring deposits + sibling pulls (many shards, small
 // batches), queue pushes/pops/steals (steal on, more workers than shards
-// busy), the sleep mutex (workers outnumber work at the tail), and on the
-// pool run the job-bookkeeping and pool-accounting sections including the
-// finalize path's job-mutex -> queue-mutex peak probe.
+// busy), the pool mutex's sleep path (workers outnumber work at the tail),
+// and the job-bookkeeping and pool-accounting sections including the
+// finalize path's job-mutex -> queue-mutex peak probe — the threaded run
+// through its one-job pool, the pool run with a cancel on top.
 TEST(LockRankIntegration, ThreadedSweepAndStealTrafficIsRankClean) {
   testing::GeneratedProgram g = testing::generate_program(/*seed=*/1986);
   g.workers = 4;

@@ -401,44 +401,6 @@ TEST(ShardedExecutive, SweepScattersAndSiblingsServeWithoutControl) {
   ex.check_census();
 }
 
-TEST(ShardedExecutive, DepositsRetireInOneCoalescedSweep) {
-  SinglePhase s = make_single_phase(16);
-  ExecConfig cfg;
-  cfg.grain = 1;
-  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
-                      {.shards = 2, .workers = 2, .batch = 16});
-  ex.start();
-
-  // Hand out everything across both "workers".
-  std::vector<Ticket> done0, done1;
-  std::vector<Assignment> all;
-  while (true) {
-    std::vector<Assignment> buf;
-    const ShardAcquire a = ex.acquire(0, 4, done0, buf);
-    const ShardAcquire b = ex.acquire(1, 4, done1, buf);
-    all.insert(all.end(), buf.begin(), buf.end());
-    if (a.taken + b.taken == 0) break;
-  }
-  EXPECT_EQ(all.size(), 16u);
-
-  // Both workers deposit half the tickets each; the flush threshold (2 x
-  // batch = 32) is never crossed, so retirement waits for the dry-probe
-  // sweep.
-  for (std::size_t i = 0; i < all.size(); ++i)
-    (i % 2 == 0 ? done0 : done1).push_back(all[i].ticket);
-  std::vector<Assignment> unused;
-  ShardAcquire d0 = ex.acquire(0, 0, done0, unused);  // deposit only
-  EXPECT_TRUE(done0.empty());
-  EXPECT_FALSE(ex.finished());
-  // Worker 1 deposits and its dry acquire sweeps BOTH shards' boxes in one
-  // control section — the last retire finishes the program.
-  ShardAcquire d1 = ex.acquire(1, 4, done1, unused);
-  EXPECT_TRUE(ex.finished());
-  EXPECT_TRUE(d0.swept || d1.swept);
-  EXPECT_EQ(ex.stats().deposits, 16u);
-  ex.check_census();
-}
-
 TEST(ShardedExecutive, ElevatedReleaseOutranksBufferedNormalWork) {
   // A conflicting computation released at elevated priority must not wait
   // behind pre-carved normal work sitting in a shard buffer: the census
@@ -580,6 +542,89 @@ TEST(ShardedExecutive, BusyControlPlaneSkipsTheSweepInsteadOfQueueing) {
   EXPECT_EQ(per_phase[b], n);
   EXPECT_EQ(retired, handed.size()) << "every ticket retires exactly once";
   EXPECT_EQ(ex.stats().deposits, handed.size());
+  ex.check_census();
+}
+
+TEST(ShardedExecutive, DepositsRetireInOneCoalescedSweep) {
+  // Worker 0 deposits while a peer's sweep holds the control plane, so its
+  // tickets stay in its shard's deposit box. Worker 1's deposit-only
+  // acquire then retires both shards' boxes, 16 tickets, in ONE sweep.
+  const GranuleId n = 17;  // 8 tickets per worker plus the holder's one
+  PhaseProgram prog;
+  const PhaseId a = prog.define_phase(make_phase("a", n).writes("X"));
+  const PhaseId b = prog.define_phase(make_phase("b", n).reads("X").writes("Y"));
+  prog.dispatch(a, {EnableClause{"b", MappingKind::kIdentity, {}}});
+  prog.dispatch(b);
+  prog.halt();
+  ExecConfig cfg;
+  cfg.grain = 1;
+  GateSink gate;
+  // batch 16: the forced-sweep threshold (2 x batch) is never crossed, so
+  // only an acquire that reaches the control plane retires deposits.
+  ShardedExecutive ex(prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 2, .workers = 2, .batch = 16});
+  ex.core_unsynchronized().set_event_sink(&gate);
+  ex.start();
+
+  // Hand out all of a; nothing retires yet, so b stays disabled.
+  std::vector<Ticket> none;
+  std::vector<Assignment> handed;
+  while (true) {
+    std::vector<Assignment> buf;
+    const ShardAcquire r0 = ex.acquire(0, 4, none, buf);
+    const ShardAcquire r1 = ex.acquire(1, 4, none, buf);
+    handed.insert(handed.end(), buf.begin(), buf.end());
+    if (r0.taken + r1.taken == 0) break;
+  }
+  ASSERT_EQ(handed.size(), n);
+  std::vector<Ticket> held{handed.back().ticket};
+  std::vector<Ticket> done0, done1;
+  for (std::size_t i = 0; i + 1 < handed.size(); ++i)
+    (i % 2 == 0 ? done0 : done1).push_back(handed[i].ticket);
+
+  // The holder's sweep retires its one ticket; the identity edge enables a
+  // granule of b, and the gate holds that event — and the control mutex.
+  gate.arm();
+  std::vector<Assignment> held_out;
+  auto holder = std::async(std::launch::async, [&] { return ex.acquire(1, 0, held, held_out); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (!gate.entered() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_TRUE(gate.entered()) << "the holder's sweep never reached the sink";
+
+  std::vector<Assignment> unused;
+  const ShardAcquire d0 = ex.acquire(0, 0, done0, unused);  // deposit only
+  EXPECT_FALSE(d0.swept) << "worker 0 swept while the control plane was held";
+  EXPECT_TRUE(done0.empty());
+  gate.open();
+  const ShardAcquire h = holder.get();
+  EXPECT_TRUE(h.swept);
+  EXPECT_EQ(h.retired, 1u);
+
+  // Worker 1 deposits its 8 and its acquire sweeps both boxes at once.
+  const std::uint64_t sweeps_before = ex.stats().sweeps;
+  const ShardAcquire d1 = ex.acquire(1, 0, done1, unused);
+  EXPECT_TRUE(d1.swept);
+  EXPECT_EQ(d1.retired, 16u) << "the sweep left a shard's deposit box behind";
+  EXPECT_EQ(ex.stats().sweeps, sweeps_before + 1);
+  EXPECT_EQ(ex.stats().deposits, n);
+  EXPECT_TRUE(unused.empty());
+
+  // a is retired whole; drive b to the end single-threaded.
+  std::vector<Ticket> pending;
+  std::size_t b_granules = 0;
+  for (int round = 0; !ex.finished() && round < 64; ++round) {
+    std::vector<Assignment> buf;
+    (void)ex.acquire(static_cast<WorkerId>(round % 2), 4, pending, buf);
+    for (const Assignment& as : buf) {
+      EXPECT_EQ(as.phase, b);
+      b_granules += as.range.size();
+      pending.push_back(as.ticket);
+    }
+  }
+  ASSERT_TRUE(ex.finished());
+  EXPECT_EQ(b_granules, n);
+  EXPECT_EQ(handed.front().phase, a);
   ex.check_census();
 }
 

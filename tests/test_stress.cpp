@@ -1,8 +1,9 @@
 // Seeded randomized stress harness: one seed generates a random phase
 // program plus driver configs (workers, batch, shards, steal, cancel
-// points), and the harness runs the *same* program through the threaded
-// runtime, the pool runtime and the simulator, cross-checking the scheduler
-// stack's invariants (see tests/testing_util.hpp — exactly-once retirement,
+// points), and the harness runs the *same* program through both surfaces of
+// the one worker loop (the threaded runtime, a one-job pool facade, and the
+// pool runtime) plus the simulator, cross-checking the scheduler stack's
+// invariants (see tests/testing_util.hpp — exactly-once retirement,
 // stats-sum consistency, shard-census integrity, sim determinism).
 //
 // Seed count knobs:
@@ -75,7 +76,7 @@ void run_shard(std::uint64_t shard, std::uint64_t n_shards) {
 /// Serve-mode shard: the same seed space, but driven through the pool's
 /// serving surface (EDF deadlines, bounded admission, random pre-open and
 /// mid-run cancels — see testing_util.hpp run_serve_checked). Split into
-/// four cases for ctest -j, like the three-runtime sweep.
+/// four cases for ctest -j, like the cross-runtime sweep.
 void run_serve_shard(std::uint64_t shard, std::uint64_t n_shards) {
   if (const char* replay = std::getenv("PAX_STRESS_SEED");
       replay != nullptr && *replay != '\0') {

@@ -5,15 +5,17 @@
 // One seed deterministically generates a linear phase program (random
 // granule counts, enablement mappings with random fan-in/fan-out, serial
 // actions, executive knobs) plus driver configs (workers, batch, shards,
-// steal), and the harness runs the *same* program through all three
-// runtimes — rt::ThreadedRuntime, pool::PoolRuntime and sim::Machine —
-// cross-checking the invariants the scheduler stack promises:
+// steal), and the harness runs the *same* program through both surfaces
+// of the one worker loop — rt::ThreadedRuntime (a one-job pool facade) and
+// pool::PoolRuntime — plus the simulator, sim::Machine, cross-checking the
+// invariants the scheduler stack promises:
 //
 //   * every granule of every phase retired exactly once (per-granule atomic
 //     execution counts),
 //   * stats sums consistent: worker-side granule/task totals match the
 //     recorder, the lock-split identity holds, pool-side job stats equal
-//     pool totals,
+//     pool totals, and a threaded run shows the one-job invariants (no
+//     rotation, no preemption leave, no cap on a lone worker),
 //   * no shard census drift (ShardedExecutive::check_census aborts inside
 //     run()/the pool on drift; the recorder re-checks totals end-to-end),
 //   * the simulator is deterministic for the (seed, config) pair.
@@ -431,6 +433,19 @@ inline rt::RtResult run_threaded_checked(const GeneratedProgram& g) {
   if (!g.steal) {
     EXPECT_EQ(res.steals, 0u);
   }
+  // A run is one job on a private kFifo pool: its workers never rotate to
+  // another job and never leave to answer an arrival, and a lone worker
+  // has nobody to shed, so it never caps the job.
+  auto metric = [&res](const char* name) {
+    const obs::MetricValue* v = res.metrics.find(name);
+    EXPECT_NE(v, nullptr) << name << " missing from the run's metrics";
+    return v != nullptr ? v->value : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(metric("worker.rotations"), 0u);
+  EXPECT_EQ(metric("pool.preempt_leaves"), 0u);
+  if (g.workers == 1) {
+    EXPECT_EQ(metric("pool.jobs_capped"), 0u);
+  }
   return res;
 }
 
@@ -812,9 +827,10 @@ inline void run_fault_checked(std::uint64_t seed) {
     rc.shards = g.shards;
     rc.steal = g.steal;
     rc.adaptive_grain = g.adaptive_grain;
-    rc.max_granule_retries = kBudget;
-    rc.retry_backoff_ticks = static_cast<std::uint32_t>(pick(0, 3));
-    rt::RtResult res = rt::ThreadedRuntime(g.program, g.exec,
+    ExecConfig ec = g.exec;
+    ec.max_granule_retries = kBudget;
+    ec.retry_backoff_ticks = static_cast<std::uint32_t>(pick(0, 3));
+    rt::RtResult res = rt::ThreadedRuntime(g.program, ec,
                                            CostModel::free_of_charge(), bodies,
                                            rc)
                            .run();
