@@ -27,7 +27,8 @@
 //      allocation discipline did not tax the path T9 optimised.
 //
 // Reported alongside: bytes/granule, threaded allocs/granule for both shard
-// modes (RtResult::heap_allocs; process-wide, so worker threads count).
+// modes (the run's heap.allocs metric; process-wide, so worker threads
+// count).
 #define PAX_ALLOC_STATS_IMPLEMENT
 #include "common/alloc_stats.hpp"
 
@@ -190,12 +191,12 @@ rt::RtResult run_once(std::uint32_t workers, std::uint32_t shards) {
 }
 
 double hold_ns_per_granule(const rt::RtResult& r) {
-  return static_cast<double>(r.exec_lock_hold_ns) /
+  return static_cast<double>(r.metrics.at("exec.control_hold_ns")) /
          static_cast<double>(r.granules_executed);
 }
 
 double allocs_per_granule(const rt::RtResult& r) {
-  return static_cast<double>(r.heap_allocs) /
+  return static_cast<double>(r.metrics.at("heap.allocs")) /
          static_cast<double>(r.granules_executed);
 }
 
@@ -297,12 +298,13 @@ int main(int argc, char** argv) {
   for (const ModeMetrics* m : {&base, &shard}) {
     const rt::RtResult& r = m->mid;
     t2.row({std::to_string(workers), m == &base ? "1-shard" : "sharded",
-            std::to_string(r.shards_used), Table::count(r.granules_executed),
-            fixed(m->hold, 1), fixed(m->allocs, 4), Table::count(r.heap_bytes),
+            std::to_string(r.metrics.at("shard.count")),
+            Table::count(r.granules_executed), fixed(m->hold, 1),
+            fixed(m->allocs, 4), Table::count(r.metrics.at("heap.bytes")),
             fixed(static_cast<double>(r.wall.count()) / 1e6, 1)});
     const std::string config = "workers=" + std::to_string(workers) +
                                " batch=" + std::to_string(kBatch) +
-                               " shards=" + std::to_string(r.shards_used);
+                               " shards=" + std::to_string(r.metrics.at("shard.count"));
     json.add("t10_alloc", "lock_hold_ns_per_granule", m->hold, config);
     json.add("t10_alloc", "threaded_allocs_per_granule", m->allocs, config);
   }

@@ -114,12 +114,12 @@ WarmWindow warm_window_allocs() {
 // --- gate 2: T9-protocol overhead, tracing on vs off -------------------------
 
 double hold_ns_per_granule(const rt::RtResult& r) {
-  return static_cast<double>(r.exec_lock_hold_ns) /
+  return static_cast<double>(r.metrics.at("exec.control_hold_ns")) /
          static_cast<double>(r.granules_executed);
 }
 
 double allocs_per_granule(const rt::RtResult& r) {
-  return static_cast<double>(r.heap_allocs) /
+  return static_cast<double>(r.metrics.at("heap.allocs")) /
          static_cast<double>(r.granules_executed);
 }
 

@@ -390,7 +390,7 @@ BurstResult deadline_burst(const std::vector<BuiltJob>& jobs,
   pool.shutdown();
   (void)gate_handle;
   const pool::PoolStats ps = pool.stats();
-  return {ps.jobs_deadline_missed, ps.jobs_deadline_met};
+  return {ps.metrics.at("pool.deadline_missed"), ps.metrics.at("pool.deadline_met")};
 }
 
 // --- --check: reduced correctness sweep for the TSAN CI job ----------------
@@ -450,11 +450,12 @@ bool check_round(const std::vector<BuiltJob>& jobs, int round) {
   pool.shutdown();
   const pool::PoolStats ps = pool.stats();
   if (completed + cancelled + rejected != kN) fail("terminal states drifted");
-  if (ps.jobs_submitted != kN) fail("jobs_submitted drift");
-  if (ps.jobs_completed != completed) fail("jobs_completed drift");
-  if (ps.jobs_cancelled != cancelled) fail("jobs_cancelled drift");
-  if (ps.jobs_rejected != rejected) fail("jobs_rejected drift");
-  if (ps.granules_executed != granules) fail("pool/job granule sum mismatch");
+  if (ps.metrics.at("pool.jobs_submitted") != kN) fail("jobs_submitted drift");
+  if (ps.metrics.at("pool.jobs_completed") != completed) fail("jobs_completed drift");
+  if (ps.metrics.at("pool.jobs_cancelled") != cancelled) fail("jobs_cancelled drift");
+  if (ps.metrics.at("pool.jobs_rejected") != rejected) fail("jobs_rejected drift");
+  if (ps.metrics.at("worker.granules") != granules)
+    fail("pool/job granule sum mismatch");
   return ok;
 }
 

@@ -286,8 +286,8 @@ bool check_mode() {
   if (js.granules_poisoned == 0) fail("poison arm: nothing poisoned");
   if (js.fault_summary.empty()) fail("poison arm: no fault summary");
   const pool::PoolStats ps = pool.stats();
-  if (ps.jobs_failed != 1) fail("poison arm: jobs_failed != 1");
-  if (ps.jobs_completed != 1) fail("poison arm: jobs_completed != 1");
+  if (ps.metrics.at("pool.jobs_failed") != 1) fail("poison arm: jobs_failed != 1");
+  if (ps.metrics.at("pool.jobs_completed") != 1) fail("poison arm: jobs_completed != 1");
   std::printf("t14 --check: %s\n", ok ? "PASS" : "FAIL");
   return ok;
 }

@@ -75,7 +75,7 @@ rt::RtResult run_once(const PhaseProgram& prog, std::uint32_t workers,
 }
 
 double locks_per_granule(const rt::RtResult& r) {
-  return static_cast<double>(r.exec_lock_acquisitions) /
+  return static_cast<double>(bench::control_and_wait_locks(r)) /
          static_cast<double>(r.granules_executed);
 }
 
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
       json.add("t6_handoff", "utilization", r.utilization(), config);
       t.row({std::to_string(workers), std::to_string(batch),
              Table::count(r.granules_executed),
-             Table::count(r.exec_lock_acquisitions), fixed(lpg, 4),
+             Table::count(control_and_wait_locks(r)), fixed(lpg, 4),
              Table::pct(r.utilization(), 1),
              fixed(static_cast<double>(r.wall.count()) / 1e6, 1)});
     }

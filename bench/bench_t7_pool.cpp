@@ -251,7 +251,8 @@ int main(int argc, char** argv) {
   u.row({"sequential", Table::pct(m.util_seq, 1), fixed(ms(m.seq_span), 1),
          "-", "-"});
   u.row({"pool", Table::pct(m.util_pool, 1), fixed(ms(m.pool_span), 1),
-         Table::count(m.ps.rotations), Table::count(m.ps.exec_lock_acquisitions)});
+         Table::count(m.ps.metrics.at("worker.rotations")),
+         Table::count(m.ps.metrics.at("worker.job_lock_acquisitions"))});
   u.print(std::cout);
 
   const double util_seq = m.util_seq;

@@ -85,7 +85,7 @@ RunOut run_once(std::uint32_t workers, bool steal) {
 }
 
 double locks_per_granule(const rt::RtResult& r) {
-  return static_cast<double>(r.exec_lock_acquisitions) /
+  return static_cast<double>(bench::control_and_wait_locks(r)) /
          static_cast<double>(r.granules_executed);
 }
 
@@ -148,13 +148,14 @@ int main(int argc, char** argv) {
                                  (steal ? " steal=on" : " steal=off");
       json.add("t8_steal", "locks_per_granule", lpg, config);
       json.add("t8_steal", "rundown_utilization", util, config);
-      json.add("t8_steal", "steals", static_cast<double>(mid.res.steals), config);
+      const std::uint64_t steals = mid.res.metrics.at("worker.steals");
+      json.add("t8_steal", "steals", static_cast<double>(steals), config);
 
       t.row({std::to_string(workers), steal ? "steal" : "batch16",
              Table::count(mid.res.granules_executed), fixed(lpg, 4),
-             Table::count(mid.res.refill_lock_acquisitions),
-             Table::count(mid.res.wait_lock_acquisitions),
-             Table::count(mid.res.steals), Table::pct(util, 1),
+             Table::count(mid.res.metrics.at("exec.control_acquisitions")),
+             Table::count(mid.res.metrics.at("worker.wait_wakeups")),
+             Table::count(steals), Table::pct(util, 1),
              fixed(static_cast<double>(mid.res.wall.count()) / 1e6, 1)});
     }
   }

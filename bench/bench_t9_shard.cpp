@@ -72,12 +72,12 @@ RunOut run_once(std::uint32_t workers, std::uint32_t shards) {
 }
 
 double control_locks_per_granule(const rt::RtResult& r) {
-  return static_cast<double>(r.refill_lock_acquisitions) /
+  return static_cast<double>(r.metrics.at("exec.control_acquisitions")) /
          static_cast<double>(r.granules_executed);
 }
 
 double hold_ns_per_granule(const rt::RtResult& r) {
-  return static_cast<double>(r.exec_lock_hold_ns) /
+  return static_cast<double>(r.metrics.at("exec.control_hold_ns")) /
          static_cast<double>(r.granules_executed);
 }
 
@@ -170,14 +170,12 @@ bool check_mode() {
     expect(res.granules_executed == 2ull * n + 16, "granule total drifted");
     expect(a_done.load() == n && b_done.load() == n && c_done.load() == 16,
            "per-phase counts drifted");
-    expect(res.exec_lock_acquisitions ==
-               res.refill_lock_acquisitions + res.wait_lock_acquisitions,
-           "lock-split identity broken");
-    // shard_hits/sibling_hits count served CALLS, ring_pops counts popped
-    // ASSIGNMENTS — every warm hit pops at least one, so pops >= hits, and
-    // warm pops happen only on the sharded path (never in sweeps).
+    // shard.hits (home plus sibling) counts served CALLS, shard.ring.pop
+    // counts popped ASSIGNMENTS — every warm hit pops at least one, so pops
+    // >= hits, and warm pops happen only on the sharded path (never in
+    // sweeps).
     if (shards > 1)
-      expect(res.shard_ring_pops >= res.shard_hits + res.shard_sibling_hits,
+      expect(res.metrics.at("shard.ring.pop") >= res.metrics.at("shard.hits"),
              "ring pops fewer than the warm hits they served");
   }
 
@@ -252,19 +250,19 @@ int main(int argc, char** argv) {
   for (const ModeMetrics* m : {&base, &shard}) {
     const rt::RtResult& r = m->mid.res;
     t.row({std::to_string(workers), m == &base ? "1-shard" : "sharded",
-           std::to_string(r.shards_used), Table::count(r.granules_executed),
-           fixed(m->lpg, 4), fixed(m->hold, 1),
-           Table::count(r.shard_hits + r.shard_sibling_hits),
-           Table::count(r.shard_scattered), Table::pct(m->util, 1),
+           std::to_string(r.metrics.at("shard.count")),
+           Table::count(r.granules_executed), fixed(m->lpg, 4), fixed(m->hold, 1),
+           Table::count(r.metrics.at("shard.hits")),
+           Table::count(r.metrics.at("shard.scattered")), Table::pct(m->util, 1),
            fixed(static_cast<double>(r.wall.count()) / 1e6, 1)});
     const std::string config = "workers=" + std::to_string(workers) +
                                " batch=" + std::to_string(kBatch) +
-                               " shards=" + std::to_string(r.shards_used);
+                               " shards=" + std::to_string(r.metrics.at("shard.count"));
     json.add("t9_shard", "control_locks_per_granule", m->lpg, config);
     json.add("t9_shard", "lock_hold_ns_per_granule", m->hold, config);
     json.add("t9_shard", "rundown_utilization", m->util, config);
     json.add("t9_shard", "shard_hits",
-             static_cast<double>(r.shard_hits + r.shard_sibling_hits), config);
+             static_cast<double>(r.metrics.at("shard.hits")), config);
   }
   t.print(std::cout);
 

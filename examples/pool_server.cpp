@@ -192,6 +192,9 @@ int main(int argc, char** argv) {
                                          : pool::JobState::kComplete);
 
   const pool::PoolStats ps = pool.stats();
+  auto m = [&ps](const char* name) {
+    return static_cast<unsigned long long>(ps.metrics.at(name));
+  };
   // A pre-open cancel contributes 0; a mid-run cancel contributes the
   // granules it actually executed before draining — either way the per-job
   // sum matches the pool total.
@@ -201,21 +204,15 @@ int main(int argc, char** argv) {
   std::printf(
       "pool: %llu jobs (%llu cancelled), %llu granules (per-job sum %llu), "
       "%llu rotations, utilization %.1f%%\n",
-      static_cast<unsigned long long>(ps.jobs_submitted),
-      static_cast<unsigned long long>(ps.jobs_cancelled),
-      static_cast<unsigned long long>(ps.granules_executed),
-      static_cast<unsigned long long>(job_sum),
-      static_cast<unsigned long long>(ps.rotations), 100.0 * ps.utilization());
+      m("pool.jobs_submitted"), m("pool.jobs_cancelled"), m("worker.granules"),
+      static_cast<unsigned long long>(job_sum), m("worker.rotations"),
+      100.0 * ps.utilization());
   // Residency and preemption rules (DESIGN.md §7): jobs capped at one
   // resident, residents shed by a cap, and spares that left at a round
   // boundary to answer a higher-priority arrival.
-  std::printf(
-      "pool: %llu jobs capped, %llu cap leaves, %llu preempt leaves\n",
-      static_cast<unsigned long long>(ps.metrics.value_of("pool.jobs_capped")),
-      static_cast<unsigned long long>(ps.metrics.value_of("pool.cap_leaves")),
-      static_cast<unsigned long long>(
-          ps.metrics.value_of("pool.preempt_leaves")));
-  ok &= job_sum == ps.granules_executed;
+  std::printf("pool: %llu jobs capped, %llu cap leaves, %llu preempt leaves\n",
+              m("pool.jobs_capped"), m("pool.cap_leaves"), m("pool.preempt_leaves"));
+  ok &= job_sum == m("worker.granules");
   if (trace_path != nullptr) {
     obs::write_chrome_trace(trace, trace_path);
     std::printf("trace: %s (%llu records, %llu dropped)\n", trace_path,

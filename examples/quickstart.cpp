@@ -92,11 +92,15 @@ int main(int argc, char** argv) {
   for (GranuleId i = 0; i < kN; ++i)
     if (c[i] != a[i]) ++wrong;
 
+  // Every runtime counter is an entry of the metrics snapshot, read by its
+  // dotted name (DESIGN.md §12).
+  auto m = [&result](const char* name) {
+    return static_cast<unsigned long long>(result.metrics.at(name));
+  };
   std::printf("granules executed : %llu (expected %llu)\n",
               static_cast<unsigned long long>(result.granules_executed),
               static_cast<unsigned long long>(2ull * kN));
-  std::printf("tasks executed    : %llu\n",
-              static_cast<unsigned long long>(result.tasks_executed));
+  std::printf("tasks executed    : %llu\n", m("worker.tasks"));
   std::printf("wall time         : %.2f ms\n",
               static_cast<double>(result.wall.count()) / 1e6);
   // The paper's headline number: fraction of worker wall-time spent inside
@@ -104,41 +108,33 @@ int main(int argc, char** argv) {
   std::printf("utilization       : %.1f%%\n", 100.0 * result.utilization());
   std::printf("steals            : %llu (failed spins: %llu, peak local "
               "queue: %llu)\n",
-              static_cast<unsigned long long>(result.steals),
-              static_cast<unsigned long long>(result.steal_fail_spins),
-              static_cast<unsigned long long>(result.peak_local_queue));
+              m("worker.steals"), m("worker.steal_fail_spins"),
+              m("queue.peak_occupancy"));
   std::printf("exec lock acq.    : %llu (control %llu + wait %llu)\n",
-              static_cast<unsigned long long>(result.exec_lock_acquisitions),
-              static_cast<unsigned long long>(result.refill_lock_acquisitions),
-              static_cast<unsigned long long>(result.wait_lock_acquisitions));
+              m("exec.control_acquisitions") + m("worker.wait_wakeups"),
+              m("exec.control_acquisitions"), m("worker.wait_wakeups"));
   // Sharded executive traffic: refills served lock-locally by a shard
   // buffer never touch the control mutex at all, and a worker that finds a
   // sweep in flight goes back to the rings instead of queueing (busy).
-  std::printf("shards            : %u (buffer hits %llu + sibling %llu, "
-              "scattered %llu, hold %.1f us, busy %llu)\n",
-              result.shards_used,
-              static_cast<unsigned long long>(result.shard_hits),
-              static_cast<unsigned long long>(result.shard_sibling_hits),
-              static_cast<unsigned long long>(result.shard_scattered),
-              static_cast<double>(result.exec_lock_hold_ns) / 1e3,
-              static_cast<unsigned long long>(
-                  result.metrics.value_of("exec.control_busy")));
+  std::printf("shards            : %llu (buffer hits %llu, %llu of them "
+              "sibling; scattered %llu, hold %.1f us, busy %llu)\n",
+              m("shard.count"), m("shard.hits"), m("shard.sibling_hits"),
+              m("shard.scattered"),
+              static_cast<double>(m("exec.control_hold_ns")) / 1e3,
+              m("exec.control_busy"));
   // Lock-free/slow-path split (DESIGN.md §13): warm assignments popped from
   // the shard rings with no mutex vs. control sweeps; dry probes and refused
   // pushes show how often the slow path absorbed an edge case.
   std::printf("lock-free handout : %llu ring pops (dry probes %llu, "
               "push overflows %llu, cas retries %llu)\n",
-              static_cast<unsigned long long>(result.shard_ring_pops),
-              static_cast<unsigned long long>(result.shard_ring_pop_empty),
-              static_cast<unsigned long long>(result.shard_ring_push_full),
-              static_cast<unsigned long long>(result.shard_ring_cas_retries));
+              m("shard.ring.pop"), m("shard.ring.pop_empty"),
+              m("shard.ring.push_full"), m("shard.ring.cas_retries"));
   // Heap traffic of the whole run (alloc_stats hooks): the steady-state
   // scheduling path allocates nothing, so this amortizes toward zero.
   std::printf("heap traffic      : %.4f allocs/granule (%llu allocs, %llu KiB)\n",
-              static_cast<double>(result.heap_allocs) /
+              static_cast<double>(m("heap.allocs")) /
                   static_cast<double>(result.granules_executed),
-              static_cast<unsigned long long>(result.heap_allocs),
-              static_cast<unsigned long long>(result.heap_bytes / 1024));
+              m("heap.allocs"), m("heap.bytes") / 1024);
   std::printf("result check      : %s\n", wrong == 0 ? "OK" : "CORRUPT");
   for (const auto& d : result.diagnostics)
     std::printf("diagnostic: %s\n", d.c_str());

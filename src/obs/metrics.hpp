@@ -1,13 +1,15 @@
-// metrics.hpp — the unified metrics registry.
+// metrics.hpp — the unified metrics registry, the runtimes' one stats
+// surface.
 //
-// Before this layer, every new observable grew a bespoke field on
-// RtResult/PoolStats/SimResult and a hand-written copy in each runtime's
-// result assembly. The registry replaces that pattern: metrics are *named*
-// counters, gauges and histograms registered once, accumulated in
-// per-worker cacheline-padded cells with relaxed atomics (no shared hot
-// word), and snapshotted into a uniform MetricsSnapshot that all three
-// result structs carry. New metrics flow into benches, BENCH_*.json and
-// the trace exporter without touching a result struct again.
+// Metrics are *named* counters, gauges and histograms registered once,
+// accumulated in per-worker cacheline-padded cells with relaxed atomics (no
+// shared hot word), and snapshotted into a uniform MetricsSnapshot that
+// rt::RtResult and pool::PoolStats carry. Every runtime counter is read from
+// the snapshot by its dotted name; the result structs keep typed fields
+// only for what a name cannot carry (per-worker time vectors, the ledger,
+// fault text) and the three values every caller checks (DESIGN.md §12).
+// A new metric flows into benches and reports without touching a result
+// struct.
 //
 // Usage contract:
 //   * register_*() and bind() run at construction time (they allocate);
@@ -60,7 +62,7 @@ struct MetricValue {
   std::vector<std::uint64_t> bounds;
 };
 
-/// Plain-value snapshot carried by RtResult/PoolStats/SimResult.
+/// Plain-value snapshot carried by RtResult and PoolStats.
 struct MetricsSnapshot {
   std::vector<MetricValue> values;
 
@@ -77,8 +79,16 @@ struct MetricsSnapshot {
     return v != nullptr ? v->value : fallback;
   }
 
-  /// Builder convenience for one-shot snapshots (the simulator, and result
-  /// assembly folding in values that never lived in worker cells).
+  /// Value of a counter/gauge that must be present: aborts naming it when
+  /// absent, so a misspelled name fails instead of reading 0.
+  [[nodiscard]] std::uint64_t at(std::string_view name) const {
+    const MetricValue* v = find(name);
+    PAX_CHECK_MSG(v != nullptr, ("no metric named " + std::string(name)).c_str());
+    return v->value;
+  }
+
+  /// Builder convenience for result assembly folding in values that never
+  /// lived in worker cells (the pool plane, the executive's shard stats).
   void push(std::string name, std::uint64_t value,
             MetricKind kind = MetricKind::kCounter) {
     MetricValue v;
@@ -133,7 +143,6 @@ class MetricsRegistry {
   void bind(std::uint32_t workers) {
     PAX_CHECK_MSG(cells_.empty(), "bind() called twice");
     PAX_CHECK_MSG(workers > 0, "need at least one worker cell");
-    slots_per_worker_ = next_slot_;
     cells_.reserve(workers);
     for (std::uint32_t w = 0; w < workers; ++w)
       cells_.push_back(std::make_unique<WorkerCells>(next_slot_));
@@ -167,6 +176,15 @@ class MetricsRegistry {
   }
 
   /// --- snapshot ------------------------------------------------------------
+
+  /// Worker `w`'s own cell of counter or gauge `m` (relaxed, like
+  /// snapshot(): exact once the worker's writes are ordered before the read,
+  /// e.g. after a join).
+  [[nodiscard]] std::uint64_t value_at(MetricId m, WorkerId w) const {
+    PAX_DCHECK(metrics_[m].kind != MetricKind::kHistogram);
+    PAX_DCHECK(w < cells_.size());
+    return cells_[w]->v[metrics_[m].first_slot].load(std::memory_order_relaxed);
+  }
 
   [[nodiscard]] MetricsSnapshot snapshot() const {
     MetricsSnapshot out;
@@ -234,7 +252,6 @@ class MetricsRegistry {
 
   std::vector<Metric> metrics_;
   std::size_t next_slot_ = 0;
-  std::size_t slots_per_worker_ = 0;
   std::vector<std::unique_ptr<WorkerCells>> cells_;
 };
 

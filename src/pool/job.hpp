@@ -321,18 +321,9 @@ struct Job {
         .count();
   }
 
-  /// Snapshot of the stats. Caller holds mu (the executive-side counters are
-  /// atomics and read lock-free).
+  /// Snapshot of the stats. Caller holds mu.
   [[nodiscard]] JobStats stats_snapshot() const PAX_REQUIRES(mu) {
     JobStats out = stats;
-    const ShardStatsView ss = exec.stats();
-    out.exec_control_acquisitions = ss.control_acquisitions;
-    out.exec_lock_hold_ns = ss.control_hold_ns;
-    out.shard_hits = ss.shard_hits + ss.sibling_hits;
-    out.shard_ring_pops = ss.ring_pops;
-    out.shard_ring_pop_empty = ss.ring_pop_empty;
-    out.shard_ring_push_full = ss.ring_push_full;
-    out.shard_ring_cas_retries = ss.ring_cas_retries;
     out.shards = exec.shards();
     const auto now = std::chrono::steady_clock::now();
     const auto end =
@@ -376,34 +367,24 @@ struct PoolCtl {
   std::uint64_t jobs_deadline_missed PAX_GUARDED_BY(mu) = 0;
   std::uint64_t jobs_deadline_met PAX_GUARDED_BY(mu) = 0;
   std::uint64_t jobs_failed PAX_GUARDED_BY(mu) = 0;
-  // Fault containment (DESIGN.md §15): executive-side sums accumulated at
-  // each job's finalize; worker_faults is the independent worker-side count
-  // (bodies that threw), published at worker exit like tasks/granules.
+  // Executive-side sums, folded in as each job finalizes (PoolCtl::finalize).
+  // Fault containment (DESIGN.md §15): the worker side counts the same
+  // bodies independently, in each worker's worker.faulted cell.
   std::uint64_t job_granule_faults PAX_GUARDED_BY(mu) = 0;
   std::uint64_t job_granule_retries PAX_GUARDED_BY(mu) = 0;
   std::uint64_t job_granules_poisoned PAX_GUARDED_BY(mu) = 0;
   std::uint64_t job_map_faults PAX_GUARDED_BY(mu) = 0;
   std::uint64_t watchdog_flags PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t worker_faults PAX_GUARDED_BY(mu) = 0;
-
-  // Worker-side totals, published at worker exit / job completion.
-  std::uint64_t tasks PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t granules PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t lock_acquisitions PAX_GUARDED_BY(mu) = 0;
+  // Control plane and shard traffic of the finished jobs' executives.
   std::uint64_t exec_control_acquisitions PAX_GUARDED_BY(mu) = 0;
   std::uint64_t exec_lock_hold_ns PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t exec_control_busy PAX_GUARDED_BY(mu) = 0;  ///< metrics only
-  std::uint64_t shard_hits PAX_GUARDED_BY(mu) = 0;
+  std::uint64_t exec_control_busy PAX_GUARDED_BY(mu) = 0;
+  std::uint64_t shard_hits PAX_GUARDED_BY(mu) = 0;  ///< home + sibling
   std::uint64_t shard_ring_pops PAX_GUARDED_BY(mu) = 0;
   std::uint64_t shard_ring_pop_empty PAX_GUARDED_BY(mu) = 0;
   std::uint64_t shard_ring_push_full PAX_GUARDED_BY(mu) = 0;
   std::uint64_t shard_ring_cas_retries PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t rotations PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t steals PAX_GUARDED_BY(mu) = 0;
-  std::uint64_t steal_fail_spins PAX_GUARDED_BY(mu) = 0;
   std::uint64_t peak_local_queue PAX_GUARDED_BY(mu) = 0;
-  std::vector<std::chrono::nanoseconds> busy PAX_GUARDED_BY(mu);
-  std::vector<std::chrono::nanoseconds> worker_wall PAX_GUARDED_BY(mu);
 
   /// Settle a job the calling worker gave up; `counted` when it still holds
   /// a place in `residents` (a cap leave already gave its place up). With

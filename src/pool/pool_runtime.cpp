@@ -21,11 +21,6 @@ PoolRuntime::PoolRuntime(PoolConfig config)
   PAX_CHECK_MSG(config_.batch > 0, "pool batch must be at least 1");
   PAX_CHECK_MSG(config_.shards != 0,
                 "shards must be at least 1 (pass kAutoShards for the default)");
-  {
-    RankedLock lock(ctl_->mu);
-    ctl_->busy.assign(config_.workers, std::chrono::nanoseconds{0});
-    ctl_->worker_wall.assign(config_.workers, std::chrono::nanoseconds{0});
-  }
   mid_.tasks = metrics_.register_counter("worker.tasks");
   mid_.granules = metrics_.register_counter("worker.granules");
   mid_.busy_ns = metrics_.register_counter("worker.busy_ns");
@@ -177,42 +172,18 @@ void PoolRuntime::shutdown() {
 }
 
 PoolStats PoolRuntime::stats() const {
-  RankedLock lock(ctl_->mu);
   PoolStats s;
-  s.jobs_submitted = ctl_->jobs_submitted;
-  s.jobs_completed = ctl_->jobs_completed;
-  s.jobs_cancelled = ctl_->jobs_cancelled;
-  s.jobs_rejected = ctl_->jobs_rejected;
-  s.jobs_deadline_missed = ctl_->jobs_deadline_missed;
-  s.jobs_deadline_met = ctl_->jobs_deadline_met;
-  s.jobs_failed = ctl_->jobs_failed;
-  s.granule_faults = ctl_->worker_faults;
-  s.granule_retries = ctl_->job_granule_retries;
-  s.granules_poisoned = ctl_->job_granules_poisoned;
-  s.map_faults = ctl_->job_map_faults;
-  s.watchdog_flags = ctl_->watchdog_flags;
-  s.tasks_executed = ctl_->tasks;
-  s.granules_executed = ctl_->granules;
-  s.exec_lock_acquisitions = ctl_->lock_acquisitions;
-  s.exec_control_acquisitions = ctl_->exec_control_acquisitions;
-  s.exec_lock_hold_ns = ctl_->exec_lock_hold_ns;
-  s.shard_hits = ctl_->shard_hits;
-  s.shard_ring_pops = ctl_->shard_ring_pops;
-  s.shard_ring_pop_empty = ctl_->shard_ring_pop_empty;
-  s.shard_ring_push_full = ctl_->shard_ring_push_full;
-  s.shard_ring_cas_retries = ctl_->shard_ring_cas_retries;
-  s.rotations = ctl_->rotations;
-  s.steals = ctl_->steals;
-  s.steal_fail_spins = ctl_->steal_fail_spins;
-  s.peak_local_queue = ctl_->peak_local_queue;
+  s.worker_busy.reserve(config_.workers);
+  s.worker_wall.reserve(config_.workers);
+  for (WorkerId w = 0; w < config_.workers; ++w) {
+    s.worker_busy.emplace_back(metrics_.value_at(mid_.busy_ns, w));
+    s.worker_wall.emplace_back(metrics_.value_at(mid_.wall_ns, w));
+  }
   const AllocTotals heap = alloc_stats::delta(heap0_, alloc_stats::totals());
-  s.heap_allocs = heap.allocs;
-  s.heap_bytes = heap.bytes;
-  s.worker_busy = ctl_->busy;
-  s.worker_wall = ctl_->worker_wall;
-  // Unified metrics surface: worker-cell sums (live; final after shutdown)
-  // plus the pool-plane values pushed as plain entries under the pool mutex.
+  // Worker-cell sums (live; final after shutdown) plus the pool-plane values
+  // pushed as plain entries under the pool mutex.
   s.metrics = metrics_.snapshot();
+  RankedLock lock(ctl_->mu);
   s.metrics.push("pool.jobs_submitted", ctl_->jobs_submitted);
   s.metrics.push("pool.jobs_completed", ctl_->jobs_completed);
   s.metrics.push("pool.jobs_cancelled", ctl_->jobs_cancelled);
@@ -220,7 +191,6 @@ PoolStats PoolRuntime::stats() const {
   s.metrics.push("pool.jobs_failed", ctl_->jobs_failed);
   s.metrics.push("pool.deadline_missed", ctl_->jobs_deadline_missed);
   s.metrics.push("pool.deadline_met", ctl_->jobs_deadline_met);
-  s.metrics.push("fault.bodies", ctl_->worker_faults);
   s.metrics.push("fault.job_bodies", ctl_->job_granule_faults);
   s.metrics.push("fault.retries", ctl_->job_granule_retries);
   s.metrics.push("fault.poisoned", ctl_->job_granules_poisoned);
@@ -497,12 +467,12 @@ void PoolRuntime::worker_main(WorkerId id) {
     }
   }
 
-  // Publish per-worker accounting; the wall clock closes inside worker_main
-  // so spawn/join overhead never counts as pool idle time.
+  // Publish per-worker accounting into this worker's own cells only
+  // (obs/metrics.hpp per-worker sharding: no contention, no lock). The wall
+  // clock closes inside worker_main so spawn/join overhead never counts as
+  // pool idle time.
   const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - enter);
-  // Unified metrics: each worker writes only its own cells (obs/metrics.hpp
-  // per-worker sharding — no contention by construction, no lock needed).
   metrics_.add(mid_.tasks, id, totals.tasks);
   metrics_.add(mid_.granules, id, totals.granules);
   metrics_.add(mid_.busy_ns, id, static_cast<std::uint64_t>(totals.busy.count()));
@@ -513,16 +483,6 @@ void PoolRuntime::worker_main(WorkerId id) {
   metrics_.add(mid_.rotations, id, rotations);
   metrics_.add(mid_.job_locks, id, locks);
   metrics_.add(mid_.faulted, id, totals.faulted);
-  RankedLock lock(ctl_->mu);
-  ctl_->busy[id] += totals.busy;
-  ctl_->worker_faults += totals.faulted;
-  ctl_->worker_wall[id] = wall;
-  ctl_->tasks += totals.tasks;
-  ctl_->granules += totals.granules;
-  ctl_->lock_acquisitions += locks;
-  ctl_->rotations += rotations;
-  ctl_->steals += steals;
-  ctl_->steal_fail_spins += steal_fails;
 }
 
 void PoolRuntime::watchdog_main() {

@@ -35,22 +35,6 @@ pool::PoolConfig pool_config(const RtConfig& c) {
 
 }  // namespace
 
-double RtResult::utilization() const {
-  std::chrono::nanoseconds total_busy{0};
-  for (auto b : worker_busy) total_busy += b;
-  std::chrono::nanoseconds denom{0};
-  if (!worker_wall.empty()) {
-    for (auto w : worker_wall) denom += w;
-  } else {
-    // Pre-measurement results (or hand-built ones): fall back to folding the
-    // whole run() span into every worker.
-    denom = wall * static_cast<std::int64_t>(worker_busy.size());
-  }
-  if (denom.count() == 0) return 0.0;
-  return static_cast<double>(total_busy.count()) /
-         static_cast<double>(denom.count());
-}
-
 ThreadedRuntime::ThreadedRuntime(const PhaseProgram& program, ExecConfig config,
                                  CostModel costs, const BodyTable& bodies,
                                  RtConfig rt_config)
@@ -96,57 +80,40 @@ RtResult ThreadedRuntime::run() {
   PAX_CHECK_MSG(!exec.work_available(), "work left in queue at program end");
   exec.check_census();
 
-  const pool::PoolStats ps = pool.stats();
-  const pool::JobStats js = handle.stats();
+  pool::PoolStats ps = pool.stats();
   const ShardStatsView ss = exec.stats();
   RtResult res;
   res.wall = std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 - wall0);
-  res.worker_busy = ps.worker_busy;
-  res.worker_wall = ps.worker_wall;
-  res.tasks_executed = ps.tasks_executed;
-  res.granules_executed = ps.granules_executed;
-  res.wait_lock_acquisitions = ps.metrics.value_of("worker.wait_wakeups");
-  res.refill_lock_acquisitions = ss.control_acquisitions;
-  res.exec_lock_acquisitions = ss.control_acquisitions + res.wait_lock_acquisitions;
-  res.exec_lock_hold_ns = ss.control_hold_ns;
-  res.shard_hits = ss.shard_hits;
-  res.shard_sibling_hits = ss.sibling_hits;
-  res.shard_scattered = ss.scattered;
-  res.shard_ring_pops = ss.ring_pops;
-  res.shard_ring_pop_empty = ss.ring_pop_empty;
-  res.shard_ring_push_full = ss.ring_push_full;
-  res.shard_ring_cas_retries = ss.ring_cas_retries;
-  res.shards_used = exec.shards();
-  res.steals = ps.steals;
-  res.steal_fail_spins = ps.steal_fail_spins;
-  res.granule_faults = ps.granule_faults;
-  res.granule_retries = js.granule_retries;
-  res.granules_poisoned = js.granules_poisoned;
-  res.map_faults = js.map_faults;
+  res.granules_executed = ps.metrics.at("worker.granules");
   res.faulted = exec.faulted();
-  res.fault_summary = js.fault_summary;
-  res.peak_local_queue = js.peak_local_queue;
-  res.heap_allocs = heap.allocs;
-  res.heap_bytes = heap.bytes;
+  res.fault_summary = handle.stats().fault_summary;
+  res.worker_busy = std::move(ps.worker_busy);
+  res.worker_wall = std::move(ps.worker_wall);
   // SAFETY: quiescent core access — the pool's workers joined in shutdown()
   // and the acquire load in exec.finished() ordered the core's final writes
   // before these reads.
   res.ledger = exec.core_unsynchronized().ledger();
   res.diagnostics = exec.core_unsynchronized().diagnostics();
 
-  // Unified metrics surface: the pool's snapshot (worker cells and the
-  // pool-plane values of its one job), with the run's own view of the
-  // values the pool counts differently (home-shard hits alone, heap traffic
-  // of run() alone) and those it has no field for.
-  res.metrics = ps.metrics;
-  res.metrics.set("shard.hits", res.shard_hits);
-  res.metrics.set("heap.allocs", res.heap_allocs);
-  res.metrics.set("heap.bytes", res.heap_bytes);
-  res.metrics.set("shard.sibling_hits", res.shard_sibling_hits);
-  res.metrics.set("shard.scattered", res.shard_scattered);
-  res.metrics.set("shard.count", res.shards_used);
-  res.metrics.set("run.wall_ns", static_cast<std::uint64_t>(res.wall.count()));
-  res.metrics.set("fault.terminal", res.faulted ? 1 : 0);
+  // The pool's snapshot (worker cells and the pool-plane values of its one
+  // job). The executive's entries are read here, after shutdown, because
+  // the pool's finalize fold can miss a control section still in flight at
+  // the terminal flip; heap.* is run()'s own traffic. shard.sibling_hits,
+  // shard.scattered and shard.count have no pool entry and are added.
+  res.metrics = std::move(ps.metrics);
+  res.metrics.set("exec.control_acquisitions", ss.control_acquisitions);
+  res.metrics.set("exec.control_hold_ns", ss.control_hold_ns);
+  res.metrics.set("exec.control_busy", ss.control_busy);
+  res.metrics.set("shard.hits", ss.shard_hits + ss.sibling_hits);
+  res.metrics.set("shard.ring.pop", ss.ring_pops);
+  res.metrics.set("shard.ring.pop_empty", ss.ring_pop_empty);
+  res.metrics.set("shard.ring.push_full", ss.ring_push_full);
+  res.metrics.set("shard.ring.cas_retries", ss.ring_cas_retries);
+  res.metrics.set("heap.allocs", heap.allocs);
+  res.metrics.set("heap.bytes", heap.bytes);
+  res.metrics.push("shard.sibling_hits", ss.sibling_hits);
+  res.metrics.push("shard.scattered", ss.scattered);
+  res.metrics.push("shard.count", exec.shards());
   return res;
 }
 

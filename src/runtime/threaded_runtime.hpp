@@ -25,6 +25,12 @@
 // its bodies) runs on one resident until its bodies outweigh it again; a
 // run never rotates (there is no other job) and never preempts (kFifo).
 //
+// What a run reports: RtResult::metrics, the private pool's metrics
+// snapshot (DESIGN.md §12) with the executive's control-plane and shard
+// entries read after shutdown, is the one stats surface; every counter is
+// read from it by dotted name. RtResult's typed fields hold only what a
+// name cannot carry or every caller checks.
+//
 // Concurrency follows the C++ Core Guidelines CP rules: jthread-only (no
 // detach), RAII locks, condition waits with predicates, data passed by
 // value across threads. Note one documented exception to CP.22: inter-phase
@@ -75,9 +81,18 @@ struct RtConfig {
   obs::TraceBuffer* trace = nullptr;
 };
 
-/// Wall-clock results of a threaded run.
+/// Results of a threaded run. Every runtime counter is an entry of
+/// `metrics` (DESIGN.md §12); the typed fields are what a name cannot carry
+/// and the three values every caller checks.
 struct RtResult {
   std::chrono::nanoseconds wall{0};  ///< run() span, incl. spawn/join
+  std::uint64_t granules_executed = 0;  ///< worker.granules
+  /// True when the program ended in the faulted terminal: a poisoned granule
+  /// made the dataflow unsatisfiable and the remaining work was recalled
+  /// (granules_executed < the program total on this path).
+  bool faulted = false;
+  /// First fault site, human-readable (empty when no fault occurred).
+  std::string fault_summary;
   /// Per worker, drain spans (BodyLoopStats::busy): body time plus the
   /// per-task bookkeeping between bodies.
   std::vector<std::chrono::nanoseconds> worker_busy;
@@ -85,81 +100,20 @@ struct RtResult {
   /// instruction to last), so thread spawn/join overhead does not dilute
   /// utilization().
   std::vector<std::chrono::nanoseconds> worker_wall;
-  std::uint64_t tasks_executed = 0;
-  std::uint64_t granules_executed = 0;
-  /// Executive contention metric: control-mutex sections plus parks — the
-  /// sum of the two fields below (kept as a total because the t6/t8/t9
-  /// gates compare it).
-  std::uint64_t exec_lock_acquisitions = 0;
-  /// Control-plane mutex sections on the sharded executive (start, sweeps,
-  /// single-shard refills, idle work, conflicting submissions). Shard-buffer
-  /// hits never appear here — that is the decontention t9 measures.
-  std::uint64_t refill_lock_acquisitions = 0;
-  /// Parks on the pool's condition variable, one per sleep (the
-  /// worker.wait_wakeups cell) — counted separately so contention on the
-  /// handoff is not conflated with sleeping through genuine work droughts.
-  std::uint64_t wait_lock_acquisitions = 0;
-  /// Total nanoseconds workers spent at the control plane, acquire-to-
-  /// release (mutex acquisition wait + hold, sweep bodies included) — the
-  /// serialization a worker actually experiences there. Divided by granules
-  /// it is the t9 lock-hold gate metric.
-  std::uint64_t exec_lock_hold_ns = 0;
-  /// Shard traffic: acquires served lock-locally by the worker's home shard
-  /// buffer / by a sibling shard's buffer, and assignments scattered into
-  /// shard buffers by control sweeps.
-  std::uint64_t shard_hits = 0;
-  std::uint64_t shard_sibling_hits = 0;
-  std::uint64_t shard_scattered = 0;
-  /// Resolved shard count of the run (after kAutoShards resolution).
-  std::uint32_t shards_used = 0;
-  /// Ring split: assignments popped lock-free from shard rings, probes that
-  /// found a hinted ring dry, pushes a full ring refused (each one a forced
-  /// control sweep or a spill), and CAS cursor-claim retries — the ring's
-  /// contention signal. Together with the control counters these show the
-  /// warm/slow split quickstart prints.
-  std::uint64_t shard_ring_pops = 0;
-  std::uint64_t shard_ring_pop_empty = 0;
-  std::uint64_t shard_ring_push_full = 0;
-  std::uint64_t shard_ring_cas_retries = 0;
-  /// Assignments obtained by stealing from a peer's local queue (no
-  /// executive round-trip involved).
-  std::uint64_t steals = 0;
-  /// Steal attempts that found every peer queue dry.
-  std::uint64_t steal_fail_spins = 0;
-  /// Fault containment (DESIGN.md §15): bodies that threw (caught by the
-  /// dispatcher's exception barrier), retry re-enqueues, granules poisoned
-  /// after the retry budget, and GranuleMapFn faults (edge degraded to
-  /// wholesale release at completion).
-  std::uint64_t granule_faults = 0;
-  std::uint64_t granule_retries = 0;
-  std::uint64_t granules_poisoned = 0;
-  std::uint64_t map_faults = 0;
-  /// True when the program ended in the faulted terminal: a poisoned granule
-  /// made the dataflow unsatisfiable and the remaining work was recalled
-  /// (granules_executed < the program total on this path).
-  bool faulted = false;
-  /// First fault site, human-readable (empty when no fault occurred).
-  std::string fault_summary;
-  /// High-water mark of local run-queue occupancy across workers.
-  std::uint64_t peak_local_queue = 0;
-  /// Process-wide heap traffic during run() (all threads), measured when the
-  /// binary links the alloc_stats hooks (common/alloc_stats.hpp) — zero
-  /// otherwise. Divided by granules it is the t10 allocs/granule metric.
-  std::uint64_t heap_allocs = 0;
-  std::uint64_t heap_bytes = 0;
   pax::MgmtLedger ledger;
   std::vector<std::string> diagnostics;
-  /// The unified metrics snapshot (obs/metrics.hpp): every counter above
-  /// plus the private pool's per-worker accumulations and pool-plane values
-  /// (worker.rotations, pool.jobs_capped, pool.preempt_leaves, ...) under
-  /// stable dotted names, so benches and JSON reports read one uniform
-  /// surface. The legacy fields stay for source compatibility; test_obs
-  /// pins the two views equal.
+  /// The private pool's snapshot (worker.*, pool.*, fault.*,
+  /// queue.peak_occupancy) with the run's own view of the executive
+  /// (exec.control_*, shard.*, read after shutdown) and of the heap
+  /// (heap.*, run() alone), plus shard.sibling_hits, shard.scattered and
+  /// shard.count, which a pool does not report.
   obs::MetricsSnapshot metrics;
 
   /// Fraction of total worker wall-time spent busy (worker_busy: drain
   /// spans, bodies plus the bookkeeping between them).
-  [[nodiscard]] double utilization() const;
+  [[nodiscard]] double utilization() const {
+    return pool::utilization(worker_busy, worker_wall);
+  }
 };
 
 class ThreadedRuntime {

@@ -299,19 +299,6 @@ SimResult Machine::run() {
   result_.heap_bytes = heap.bytes;
   result_.ledger = core_.ledger();
   result_.diagnostics = core_.diagnostics();
-  // Unified metrics surface (single-threaded run: one-shot pushes, no
-  // worker cells). Same dotted names as the threaded runtimes where the
-  // quantity corresponds; tick-valued entries say so in the suffix.
-  result_.metrics.push("worker.tasks", result_.tasks_executed);
-  result_.metrics.push("worker.granules", result_.granules_executed);
-  result_.metrics.push("worker.busy_ticks", result_.compute_ticks);
-  result_.metrics.push("worker.steals", result_.steals);
-  result_.metrics.push("exec.busy_ticks", result_.exec_ticks);
-  result_.metrics.push("exec.wait_ticks", result_.mgmt_wait_ticks);
-  result_.metrics.push("run.makespan_ticks", result_.makespan);
-  result_.metrics.push("shard.count", result_.shards);
-  result_.metrics.push("heap.allocs", result_.heap_allocs);
-  result_.metrics.push("heap.bytes", result_.heap_bytes);
   return std::move(result_);
 }
 

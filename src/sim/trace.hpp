@@ -12,7 +12,6 @@
 #include "core/cost_model.hpp"
 #include "core/granule.hpp"
 #include "core/phase.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
 
 namespace pax::sim {
@@ -78,10 +77,6 @@ class SimResult {
   std::vector<Interval> compute_intervals;  ///< empty if recording disabled
   pax::MgmtLedger ledger;
   std::vector<std::string> diagnostics;
-  /// Unified metrics snapshot (obs/metrics.hpp): the tick counters above
-  /// under the same dotted names the threaded runtimes use, so benches and
-  /// JSON reports read one uniform surface across sim and hardware runs.
-  obs::MetricsSnapshot metrics;
 
   /// Overall processor utilization: compute / (P * makespan).
   [[nodiscard]] double utilization() const;

@@ -87,13 +87,11 @@ TEST(FaultBarrier, TransientFaultRetriesToCompletion) {
   EXPECT_FALSE(res.faulted);
   EXPECT_EQ(res.granules_executed, 64u);
   EXPECT_EQ(inj.injected(), 3u);
-  EXPECT_EQ(res.granule_faults, 3u);
-  EXPECT_EQ(res.granule_retries, 3u);
-  EXPECT_EQ(res.granules_poisoned, 0u);
+  EXPECT_EQ(testing::metric(res.metrics, "worker.faulted"), 3u);
+  EXPECT_EQ(testing::metric(res.metrics, "fault.retries"), 3u);
+  EXPECT_EQ(testing::metric(res.metrics, "fault.poisoned"), 0u);
   // The first fault site survives into the summary even on success.
   EXPECT_NE(res.fault_summary.find("injected fault"), std::string::npos);
-  EXPECT_EQ(res.metrics.value_of("fault.bodies"), 3u);
-  EXPECT_EQ(res.metrics.value_of("fault.terminal"), 0u);
 }
 
 TEST(FaultBarrier, PersistentFaultPoisonsAndFaultsTheRun) {
@@ -115,12 +113,11 @@ TEST(FaultBarrier, PersistentFaultPoisonsAndFaultsTheRun) {
   rec.expect_at_most_once();
   EXPECT_TRUE(res.faulted);
   EXPECT_EQ(inj.injected(), 3u);  // initial attempt + 2 retries
-  EXPECT_EQ(res.granule_faults, 3u);
-  EXPECT_EQ(res.granule_retries, 2u);
-  EXPECT_GE(res.granules_poisoned, 1u);
+  EXPECT_EQ(testing::metric(res.metrics, "worker.faulted"), 3u);
+  EXPECT_EQ(testing::metric(res.metrics, "fault.retries"), 2u);
+  EXPECT_GE(testing::metric(res.metrics, "fault.poisoned"), 1u);
   EXPECT_LT(res.granules_executed, 48u);  // the poisoned granule never ran
   EXPECT_NE(res.fault_summary.find("injected fault"), std::string::npos);
-  EXPECT_EQ(res.metrics.value_of("fault.terminal"), 1u);
 }
 
 TEST(FaultBarrier, MapFnThrowDegradesEdgeAndCompletes) {
@@ -173,8 +170,8 @@ TEST(FaultBarrier, MapFnThrowDegradesEdgeAndCompletes) {
   EXPECT_FALSE(res.faulted);  // degraded, not failed
   EXPECT_EQ(executed.load(), 64u);
   EXPECT_EQ(res.granules_executed, 64u);
-  EXPECT_EQ(res.map_faults, 1u);
-  EXPECT_EQ(res.granule_faults, 0u);
+  EXPECT_EQ(testing::metric(res.metrics, "fault.map"), 1u);
+  EXPECT_EQ(testing::metric(res.metrics, "worker.faulted"), 0u);
   EXPECT_NE(res.fault_summary.find("map callback exploded"), std::string::npos);
 }
 
@@ -275,18 +272,17 @@ TEST(FaultPool, PoolJobFailsWithoutTouchingSiblings) {
     pool.shutdown();
 
     const pool::PoolStats ps = pool.stats();
-    EXPECT_EQ(ps.jobs_submitted, 2u);
-    EXPECT_EQ(ps.jobs_completed, 1u);
-    EXPECT_EQ(ps.jobs_failed, 1u);
-    EXPECT_EQ(ps.jobs_cancelled, 0u);
-    EXPECT_EQ(ps.granule_faults, 2u);
-    EXPECT_EQ(ps.granule_retries, 1u);
-    EXPECT_GE(ps.granules_poisoned, 1u);
-    EXPECT_EQ(ps.watchdog_flags, 0u);
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_submitted"), 2u);
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"), 1u);
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_failed"), 1u);
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_cancelled"), 0u);
+    EXPECT_EQ(testing::metric(ps.metrics, "worker.faulted"), 2u);
+    EXPECT_EQ(testing::metric(ps.metrics, "fault.retries"), 1u);
+    EXPECT_GE(testing::metric(ps.metrics, "fault.poisoned"), 1u);
+    EXPECT_EQ(testing::metric(ps.metrics, "fault.watchdog_flags"), 0u);
     // Failed jobs never enter the deadline tally.
-    EXPECT_EQ(ps.jobs_deadline_missed, 0u);
-    EXPECT_EQ(ps.jobs_deadline_met, 0u);
-    EXPECT_EQ(ps.metrics.value_of("pool.jobs_failed"), 1u);
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.deadline_missed"), 0u);
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.deadline_met"), 0u);
   }
   // Handles outlive the pool: the terminal state and final stats survive.
   EXPECT_EQ(faulty.state(), JobState::kFailed);
@@ -315,7 +311,7 @@ TEST(FaultPool, PoolTransientFaultStillCompletes) {
   EXPECT_EQ(js.granule_faults, 1u);
   EXPECT_EQ(js.granule_retries, 1u);
   EXPECT_EQ(js.granules_poisoned, 0u);
-  EXPECT_EQ(pool.stats().jobs_failed, 0u);
+  EXPECT_EQ(testing::metric(pool.stats().metrics, "pool.jobs_failed"), 0u);
 }
 
 // --- stuck-granule watchdog -------------------------------------------------
@@ -347,9 +343,8 @@ TEST(FaultWatchdog, WatchdogFlagsStuckGranule) {
   EXPECT_EQ(js.granules_poisoned, 0u);  // nothing threw — watchdog terminal
   EXPECT_NE(js.fault_summary.find("watchdog"), std::string::npos);
   const pool::PoolStats ps = pool.stats();
-  EXPECT_EQ(ps.jobs_failed, 1u);
-  EXPECT_EQ(ps.watchdog_flags, 1u);
-  EXPECT_EQ(ps.metrics.value_of("fault.watchdog_flags"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_failed"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "fault.watchdog_flags"), 1u);
 }
 
 TEST(FaultWatchdog, WatchdogNeverFlagsBodiesShorterThanTheTimeout) {
@@ -376,7 +371,7 @@ TEST(FaultWatchdog, WatchdogNeverFlagsBodiesShorterThanTheTimeout) {
   pool.shutdown();
   EXPECT_EQ(n.load(), 64u);
   EXPECT_FALSE(h.stats().watchdog_expired);
-  EXPECT_EQ(pool.stats().watchdog_flags, 0u);
+  EXPECT_EQ(testing::metric(pool.stats().metrics, "fault.watchdog_flags"), 0u);
 }
 
 TEST(FaultWatchdog, NoTimeoutMeansNoWatchdogFlag) {
@@ -397,7 +392,7 @@ TEST(FaultWatchdog, NoTimeoutMeansNoWatchdogFlag) {
   pool.shutdown();
   EXPECT_EQ(n.load(), 4u);
   EXPECT_FALSE(h.stats().watchdog_expired);
-  EXPECT_EQ(pool.stats().watchdog_flags, 0u);
+  EXPECT_EQ(testing::metric(pool.stats().metrics, "fault.watchdog_flags"), 0u);
 }
 
 }  // namespace

@@ -7,9 +7,10 @@
 // from exec begin/end trace pairs equals the runtime's own accounting
 // *exactly* (the dispatch layer chains the exec stamps within a drain, so
 // they tile the drain span it adds to busy), the
-// granules covered by exec-end records equal the granule totals, and every
-// legacy result field equals its metrics-snapshot view. The threaded and
-// pool cases run real worker threads with tracing on, so the TSAN CI matrix
+// granules covered by exec-end records equal the granule totals, the typed
+// result fields agree with their metrics-snapshot entries, and every name
+// the repo benchmark reads is present on both runtime surfaces. The threaded
+// and pool cases run real worker threads with tracing on, so the TSAN CI matrix
 // entry for this binary exercises the rings' single-writer contract under
 // the race detector.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -282,41 +284,31 @@ TEST(ThreadedTracing, BusyAndGranuleIdentitiesAtZeroDrops) {
   }
 }
 
-TEST(ThreadedTracing, MetricsSnapshotEqualsLegacyFields) {
+TEST(ThreadedTracing, MetricsSnapshotAgreesWithTypedFields) {
   const testing::GeneratedProgram g = testing::generate_program(91);
   TraceBuffer trace(g.workers, {.ring_capacity = kTestRing});
   const rt::RtResult res = run_threaded_traced(g, trace);
   const obs::MetricsSnapshot& m = res.metrics;
 
-  std::uint64_t busy = 0;
+  // The per-worker vectors are the worker.busy_ns / worker.wall_ns cells
+  // read one worker at a time.
+  std::uint64_t busy = 0, wall = 0;
   for (auto b : res.worker_busy) busy += static_cast<std::uint64_t>(b.count());
+  for (auto w : res.worker_wall) wall += static_cast<std::uint64_t>(w.count());
 
-  EXPECT_EQ(m.value_of("worker.tasks"), res.tasks_executed);
-  EXPECT_EQ(m.value_of("worker.granules"), res.granules_executed);
-  EXPECT_EQ(m.value_of("worker.busy_ns"), busy);
-  EXPECT_EQ(m.value_of("worker.steals"), res.steals);
-  EXPECT_EQ(m.value_of("worker.steal_fail_spins"), res.steal_fail_spins);
-  EXPECT_EQ(m.value_of("worker.wait_wakeups"), res.wait_lock_acquisitions);
-  EXPECT_EQ(m.value_of("exec.control_acquisitions"),
-            res.refill_lock_acquisitions);
-  EXPECT_EQ(m.value_of("exec.control_hold_ns"), res.exec_lock_hold_ns);
-  EXPECT_EQ(m.value_of("shard.hits"), res.shard_hits);
-  EXPECT_EQ(m.value_of("shard.sibling_hits"), res.shard_sibling_hits);
-  EXPECT_EQ(m.value_of("shard.scattered"), res.shard_scattered);
-  EXPECT_EQ(m.value_of("shard.count"), res.shards_used);
-  EXPECT_EQ(m.value_of("queue.peak_occupancy"), res.peak_local_queue);
-  EXPECT_EQ(m.value_of("heap.allocs"), res.heap_allocs);
-  EXPECT_EQ(m.value_of("heap.bytes"), res.heap_bytes);
-  EXPECT_EQ(m.value_of("run.wall_ns"),
-            static_cast<std::uint64_t>(res.wall.count()));
-  EXPECT_EQ(m.value_of("trace.emitted"), trace.total_emitted());
-  EXPECT_EQ(m.value_of("trace.dropped"), 0u);
+  EXPECT_EQ(testing::metric(m, "worker.granules"), res.granules_executed);
+  EXPECT_EQ(testing::metric(m, "worker.busy_ns"), busy);
+  EXPECT_EQ(testing::metric(m, "worker.wall_ns"), wall);
+  // shard.hits counts home and sibling hits, as on a pool.
+  EXPECT_GE(testing::metric(m, "shard.hits"), testing::metric(m, "shard.sibling_hits"));
+  EXPECT_EQ(testing::metric(m, "trace.emitted"), trace.total_emitted());
+  EXPECT_EQ(testing::metric(m, "trace.dropped"), 0u);
 }
 
 TEST(ThreadedTracing, UntracedRunCarriesMetricsButNoTraceCounters) {
   const testing::GeneratedProgram g = testing::generate_program(5);
   const rt::RtResult res = testing::run_threaded_checked(g);
-  EXPECT_EQ(res.metrics.value_of("worker.granules"), g.total);
+  EXPECT_EQ(testing::metric(res.metrics, "worker.granules"), g.total);
   EXPECT_EQ(res.metrics.find("trace.emitted"), nullptr);
   EXPECT_EQ(res.metrics.find("trace.dropped"), nullptr);
 }
@@ -425,27 +417,54 @@ TEST(PoolTracing, JobLifecycleAndGranuleIdentities) {
     // resident (the completing worker finalizes directly), so kJobDrain has
     // no count guarantee — open and finalize do.
     EXPECT_EQ(opens, 1u);
-    EXPECT_EQ(finalizes, ps.jobs_completed);
+    EXPECT_EQ(finalizes, testing::metric(ps.metrics, "pool.jobs_completed"));
 
     // Granule and busy identities, same contract as the threaded runtime.
-    EXPECT_EQ(obs::granules_in(merged), ps.granules_executed);
+    EXPECT_EQ(obs::granules_in(merged), testing::metric(ps.metrics, "worker.granules"));
     const std::vector<std::uint64_t> busy = obs::busy_ns_by_worker(trace);
     for (std::uint32_t w = 0; w < g.workers; ++w)
       EXPECT_EQ(busy[w],
                 static_cast<std::uint64_t>(ps.worker_busy[w].count()))
           << "worker " << w;
 
-    // Metrics snapshot vs legacy PoolStats fields.
-    EXPECT_EQ(ps.metrics.value_of("worker.granules"), ps.granules_executed);
-    EXPECT_EQ(ps.metrics.value_of("worker.tasks"), ps.tasks_executed);
-    EXPECT_EQ(ps.metrics.value_of("worker.steals"), ps.steals);
-    EXPECT_EQ(ps.metrics.value_of("worker.rotations"), ps.rotations);
-    EXPECT_EQ(ps.metrics.value_of("pool.jobs_submitted"), ps.jobs_submitted);
-    EXPECT_EQ(ps.metrics.value_of("pool.jobs_completed"), ps.jobs_completed);
-    EXPECT_EQ(ps.metrics.value_of("pool.jobs_cancelled"), ps.jobs_cancelled);
-    EXPECT_EQ(ps.metrics.value_of("exec.control_hold_ns"),
-              ps.exec_lock_hold_ns);
-    EXPECT_EQ(ps.metrics.value_of("trace.emitted"), trace.total_emitted());
+    // The per-worker vectors are the worker cells read one at a time.
+    std::uint64_t busy_sum = 0, wall_sum = 0;
+    for (auto b : ps.worker_busy) busy_sum += static_cast<std::uint64_t>(b.count());
+    for (auto w : ps.worker_wall) wall_sum += static_cast<std::uint64_t>(w.count());
+    EXPECT_EQ(testing::metric(ps.metrics, "worker.busy_ns"), busy_sum);
+    EXPECT_EQ(testing::metric(ps.metrics, "worker.wall_ns"), wall_sum);
+    EXPECT_EQ(testing::metric(ps.metrics, "trace.emitted"), trace.total_emitted());
+  }
+}
+
+// --- the names the repo benchmark reads --------------------------------------
+
+// bench_stack's Counters (bench_stack/workloads.hpp) reads these from a
+// finished run's RtResult::metrics and a shut-down pool's PoolStats::metrics
+// through value_of, whose fallback is a silent 0: a renamed metric would
+// zero a per-layer benchmark figure without failing anything there.
+TEST(MetricsSurface, BenchmarkCounterNamesArePresentOnBothSurfaces) {
+  constexpr const char* kNames[] = {
+      "worker.granules", "worker.tasks", "worker.busy_ns", "worker.wall_ns",
+      "worker.steals", "worker.rotations", "worker.job_lock_acquisitions",
+      "exec.control_acquisitions", "exec.control_hold_ns", "shard.ring.pop",
+      "shard.ring.pop_empty", "shard.ring.push_full", "shard.ring.cas_retries",
+      "heap.allocs"};
+  static_assert(std::size(kNames) == 14);
+  const testing::GeneratedProgram g = testing::generate_program(5);
+  const rt::RtResult res = testing::run_threaded_checked(g);
+
+  testing::ExecutionRecorder rec(g.granules);
+  std::atomic<std::uint64_t> sink{0};
+  rt::BodyTable bodies = testing::make_recording_bodies(g, rec, sink);
+  pool::PoolRuntime pool({.workers = g.workers});
+  ASSERT_EQ(pool.submit(g.program, bodies, g.exec).wait(), pool::JobState::kComplete);
+  pool.shutdown();
+  const pool::PoolStats ps = pool.stats();
+
+  for (const char* name : kNames) {
+    EXPECT_NE(res.metrics.find(name), nullptr) << name << " missing from RtResult";
+    EXPECT_NE(ps.metrics.find(name), nullptr) << name << " missing from PoolStats";
   }
 }
 
@@ -493,12 +512,6 @@ TEST(SimTracing, AdapterPreservesBusyTicksAndRunLifecycles) {
   EXPECT_EQ(opened, res.runs.size());
   EXPECT_LE(completed, opened);
   EXPECT_GE(completed, g.phases.size());
-
-  // The sim fills the same dotted metric names as the live runtimes.
-  EXPECT_EQ(res.metrics.value_of("worker.granules"), res.granules_executed);
-  EXPECT_EQ(res.metrics.value_of("worker.busy_ticks"), res.compute_ticks);
-  EXPECT_EQ(res.metrics.value_of("run.makespan_ticks"), res.makespan);
-  EXPECT_EQ(res.metrics.value_of("shard.count"), res.shards);
 }
 
 // --- exporter ---------------------------------------------------------------

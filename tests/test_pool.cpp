@@ -94,7 +94,7 @@ rt::BodyTable counting_bodies(std::span<const PhaseId> phases,
 }
 
 std::uint64_t pool_metric(const PoolRuntime& pool, const char* name) {
-  return pool.stats().metrics.value_of(name);
+  return testing::metric(pool.stats().metrics, name);
 }
 
 // --- scheduling policy comparator (pure, no threads) ------------------------
@@ -253,9 +253,11 @@ TEST(PoolCompletion, ManyConcurrentJobsAllCompleteWithExactAccounting) {
     pool.shutdown();
 
     const PoolStats ps = pool.stats();
-    EXPECT_EQ(ps.jobs_submitted, static_cast<std::uint64_t>(kJobs));
-    EXPECT_EQ(ps.jobs_completed, static_cast<std::uint64_t>(kJobs));
-    EXPECT_EQ(ps.jobs_cancelled, 0u);
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_submitted"),
+              static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"),
+              static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_cancelled"), 0u);
 
     // Per-job stats sum exactly to the (independently accumulated) pool
     // totals, and match the program-derived expectations.
@@ -270,8 +272,8 @@ TEST(PoolCompletion, ManyConcurrentJobsAllCompleteWithExactAccounting) {
       sum_tasks += js.tasks;
       sum_busy += js.busy;
     }
-    EXPECT_EQ(sum_granules, ps.granules_executed);
-    EXPECT_EQ(sum_tasks, ps.tasks_executed);
+    EXPECT_EQ(sum_granules, testing::metric(ps.metrics, "worker.granules"));
+    EXPECT_EQ(sum_tasks, testing::metric(ps.metrics, "worker.tasks"));
     std::chrono::nanoseconds pool_busy{0};
     for (auto b : ps.worker_busy) pool_busy += b;
     EXPECT_EQ(sum_busy, pool_busy);
@@ -418,7 +420,7 @@ std::vector<char> run_fair_share_scenario(SchedPolicy policy) {
   EXPECT_EQ(m.wait(), JobState::kComplete);
   pool.shutdown();
 
-  EXPECT_GT(pool.stats().rotations, 0u);
+  EXPECT_GT(pool_metric(pool, "worker.rotations"), 0u);
   EXPECT_EQ(m.stats().granules, 4u);
   return order;
 }
@@ -471,9 +473,10 @@ TEST(PoolCancel, CancelBeforeOpenWinsOnceAndVictimNeverRuns) {
   EXPECT_EQ(vs.granules, 0u);
   EXPECT_EQ(vs.queued.count(), 0);
   const PoolStats ps = pool.stats();
-  EXPECT_EQ(ps.jobs_cancelled, 1u);
-  EXPECT_EQ(ps.jobs_completed, 1u);
-  EXPECT_EQ(ps.granules_executed, 1u);  // the blocker's single granule
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_cancelled"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"), 1u);
+  // The blocker's single granule.
+  EXPECT_EQ(testing::metric(ps.metrics, "worker.granules"), 1u);
 }
 
 /// True mid-run cancellation: every body execution parks on a gate, so the
@@ -521,9 +524,9 @@ TEST(PoolCancel, MidRunCancelDrainsAndFinalizesCancelled) {
   EXPECT_LT(js.granules, kN);
   EXPECT_FALSE(js.deadline_missed);
   const PoolStats ps = pool.stats();
-  EXPECT_EQ(ps.jobs_cancelled, 1u);
-  EXPECT_EQ(ps.jobs_completed, 0u);
-  EXPECT_EQ(ps.granules_executed, js.granules);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_cancelled"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"), 0u);
+  EXPECT_EQ(testing::metric(ps.metrics, "worker.granules"), js.granules);
 }
 
 /// A cancel that lands while the job's start() still runs must not strand
@@ -583,9 +586,9 @@ TEST(PoolCancel, CancelDuringStartFinalizesWithoutAResident) {
 
   EXPECT_EQ(long_ran.load(), kLong);
   const PoolStats ps = pool.stats();
-  EXPECT_EQ(ps.jobs_cancelled, 1u);
-  EXPECT_EQ(ps.jobs_completed, 1u);
-  EXPECT_EQ(ps.granules_executed, kLong + held_ran.load());
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_cancelled"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "worker.granules"), kLong + held_ran.load());
 }
 
 // --- terminal-state contract: done() implies stats() are final ---------------
@@ -659,9 +662,9 @@ TEST(PoolAdmission, OverBudgetSubmitRejectsWithoutExecuting) {
   EXPECT_EQ(blocker.wait(), JobState::kComplete);
   // wait() observes the terminal flip (job mutex), but the job leaves the
   // pending set slightly later, under the pool mutex — in the same critical
-  // section that bumps jobs_completed. Spin on the counter so the budget is
+  // section that bumps pool.jobs_completed. Spin on the counter so the budget is
   // provably free before the re-admission submit.
-  while (pool.stats().jobs_completed < 1) std::this_thread::yield();
+  while (pool_metric(pool, "pool.jobs_completed") < 1) std::this_thread::yield();
   // The budget freed up: the same program is admitted now.
   JobHandle admitted = pool.submit(extra_prog.prog, extra_bodies, cfg);
   EXPECT_EQ(admitted.wait(), JobState::kComplete);
@@ -669,11 +672,12 @@ TEST(PoolAdmission, OverBudgetSubmitRejectsWithoutExecuting) {
 
   EXPECT_TRUE(extra_ran.load());  // from the admitted run only
   const PoolStats ps = pool.stats();
-  EXPECT_EQ(ps.jobs_submitted, 3u);  // rejected submissions still count
-  EXPECT_EQ(ps.jobs_completed, 2u);
-  EXPECT_EQ(ps.jobs_rejected, 1u);
-  EXPECT_EQ(ps.jobs_deadline_missed, 1u);
-  EXPECT_EQ(ps.jobs_deadline_met, 0u);
+  // Rejected submissions still count.
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_submitted"), 3u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"), 2u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_rejected"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.deadline_missed"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.deadline_met"), 0u);
 }
 
 // --- deadline accounting ------------------------------------------------------
@@ -709,8 +713,8 @@ TEST(PoolDeadline, MetAndMissedDeadlinesAccountedAtFinalize) {
   EXPECT_TRUE(xs.deadline_missed);
   EXPECT_LT(xs.deadline_slack.count(), 0);
   const PoolStats ps = pool.stats();
-  EXPECT_EQ(ps.jobs_deadline_met, 1u);
-  EXPECT_EQ(ps.jobs_deadline_missed, 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.deadline_met"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.deadline_missed"), 1u);
 }
 
 TEST(PoolDeadline, EdfOrdersRotationsByDeadline) {
@@ -1121,8 +1125,8 @@ TEST(PoolResidency, BodyBoundJobGetsTheWorkersACappedJobFrees) {
   EXPECT_EQ(jb.granules, kSpinN);
   EXPECT_EQ(ja.tasks, chain.probe.total_tasks());
   EXPECT_EQ(jb.tasks, spin_probe.total_tasks());
-  EXPECT_EQ(ja.granules + jb.granules, ps.granules_executed);
-  EXPECT_EQ(ja.tasks + jb.tasks, ps.tasks_executed);
+  EXPECT_EQ(ja.granules + jb.granules, testing::metric(ps.metrics, "worker.granules"));
+  EXPECT_EQ(ja.tasks + jb.tasks, testing::metric(ps.metrics, "worker.tasks"));
   std::chrono::nanoseconds pool_busy{0};
   for (auto w : ps.worker_busy) pool_busy += w;
   EXPECT_EQ(ja.busy + jb.busy, pool_busy);
@@ -1227,8 +1231,8 @@ PreemptOutcome run_preempt_scenario(const PreemptScenario& sc) {
   EXPECT_EQ(us.granules, urgent_probe.rec.total());
   EXPECT_EQ(ls.tasks, long_probe.total_tasks());
   EXPECT_EQ(us.tasks, urgent_probe.total_tasks());
-  EXPECT_EQ(ls.granules + us.granules, ps.granules_executed);
-  EXPECT_EQ(ls.tasks + us.tasks, ps.tasks_executed);
+  EXPECT_EQ(ls.granules + us.granules, testing::metric(ps.metrics, "worker.granules"));
+  EXPECT_EQ(ls.tasks + us.tasks, testing::metric(ps.metrics, "worker.tasks"));
   std::chrono::nanoseconds pool_busy{0};
   for (auto w : ps.worker_busy) pool_busy += w;
   EXPECT_EQ(ls.busy + us.busy, pool_busy);

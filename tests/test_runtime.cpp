@@ -7,6 +7,7 @@
 
 #include "runtime/happens_before.hpp"
 #include "runtime/threaded_runtime.hpp"
+#include "testing_util.hpp"
 
 namespace pax::rt {
 namespace {
@@ -343,12 +344,14 @@ TEST(RtBatchedHandoff, FewerLockAcquisitionsSameWork) {
 
   EXPECT_EQ(r1.granules_executed, 4u * 2u * 512u);
   EXPECT_EQ(r16.granules_executed, r1.granules_executed);
-  EXPECT_EQ(r16.tasks_executed, r1.tasks_executed);
+  EXPECT_EQ(testing::metric(r16.metrics, "worker.tasks"),
+            testing::metric(r1.metrics, "worker.tasks"));
   // The acceptance bar is 2x; steady state delivers far more (~16x), so 2x
   // leaves headroom for wait-path reacquisitions under scheduler noise.
-  EXPECT_GE(r1.exec_lock_acquisitions, 2 * r16.exec_lock_acquisitions)
-      << "batch=1 locks: " << r1.exec_lock_acquisitions
-      << ", batch=16 locks: " << r16.exec_lock_acquisitions;
+  const std::uint64_t locks1 = testing::control_and_wait_locks(r1.metrics);
+  const std::uint64_t locks16 = testing::control_and_wait_locks(r16.metrics);
+  EXPECT_GE(locks1, 2 * locks16)
+      << "batch=1 locks: " << locks1 << ", batch=16 locks: " << locks16;
 }
 
 // --- dynamic conflicting submission on real threads --------------------------
@@ -519,7 +522,7 @@ TEST(RtResultAccounting, WorkerWallMeasuredInsideWorkerMain) {
   }
   EXPECT_GT(res.utilization(), 0.0);
   EXPECT_LE(res.utilization(), 1.0 + 1e-9);
-  EXPECT_GT(res.exec_lock_acquisitions, 0u);
+  EXPECT_GT(testing::control_and_wait_locks(res.metrics), 0u);
 }
 
 // --- configuration validation ------------------------------------------------
@@ -595,9 +598,9 @@ TEST(RtConfig, AutoShardsClampToWorkersAndProgram) {
     rc.workers = workers;
     ExecConfig cfg;
     cfg.grain = 2;
-    return ThreadedRuntime(s.prog, cfg, CostModel::free_of_charge(), bodies, rc)
-        .run()
-        .shards_used;
+    const RtResult res =
+        ThreadedRuntime(s.prog, cfg, CostModel::free_of_charge(), bodies, rc).run();
+    return testing::metric(res.metrics, "shard.count");
   };
   EXPECT_EQ(shards_used(1), 1u);
   EXPECT_EQ(shards_used(3), 6u);

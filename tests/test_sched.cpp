@@ -16,6 +16,7 @@
 #include "runtime/happens_before.hpp"
 #include "runtime/threaded_runtime.hpp"
 #include "sched/dispatcher.hpp"
+#include "testing_util.hpp"
 
 namespace pax {
 namespace {
@@ -755,9 +756,7 @@ TEST(RtSteal, TailHeavyRunStealsAndStaysCorrect) {
       rt::ThreadedRuntime(prog, cfg, CostModel::free_of_charge(), bodies, rc).run();
 
   EXPECT_EQ(res.granules_executed, 2u * n);
-  EXPECT_EQ(res.exec_lock_acquisitions,
-            res.refill_lock_acquisitions + res.wait_lock_acquisitions);
-  EXPECT_GT(res.peak_local_queue, 1u);
+  EXPECT_GT(testing::metric(res.metrics, "queue.peak_occupancy"), 1u);
   for (GranuleId g = 0; g < n; ++g) {
     ASSERT_TRUE(rec.executed(0, g));
     ASSERT_TRUE(rec.executed(1, g));
@@ -779,8 +778,8 @@ TEST(RtSteal, SingleWorkerNeverSteals) {
       rt::ThreadedRuntime(s.prog, cfg, CostModel::free_of_charge(), bodies, rc)
           .run();
   EXPECT_EQ(res.granules_executed, 64u);
-  EXPECT_EQ(res.steals, 0u);
-  EXPECT_EQ(res.steal_fail_spins, 0u);
+  EXPECT_EQ(testing::metric(res.metrics, "worker.steals"), 0u);
+  EXPECT_EQ(testing::metric(res.metrics, "worker.steal_fail_spins"), 0u);
 }
 
 // --- pool integration --------------------------------------------------------
@@ -817,9 +816,9 @@ TEST(PoolSteal, StealsSumAcrossJobsAndStatsStayConsistent) {
     job_steals += h.stats().steals;
   }
   EXPECT_EQ(job_granules, 3u * 96u);
-  EXPECT_EQ(ps.granules_executed, job_granules);
-  EXPECT_EQ(ps.steals, job_steals);
-  EXPECT_EQ(ps.jobs_completed, 3u);
+  EXPECT_EQ(testing::metric(ps.metrics, "worker.granules"), job_granules);
+  EXPECT_EQ(testing::metric(ps.metrics, "worker.steals"), job_steals);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"), 3u);
 }
 
 TEST(PoolSteal, NoStealPoolSleepsWhilePeerHoldsLocalWork) {
@@ -846,7 +845,8 @@ TEST(PoolSteal, NoStealPoolSleepsWhilePeerHoldsLocalWork) {
   pool.shutdown();
   // A busy-spinning adopter racks up hundreds of thousands of acquisitions
   // in 50 ms; a sleeping one leaves a handful per worker.
-  EXPECT_LT(pool.stats().exec_lock_acquisitions, 1000u);
+  EXPECT_LT(testing::metric(pool.stats().metrics, "worker.job_lock_acquisitions"),
+            1000u);
 }
 
 TEST(PoolSteal, CancellationObservedMidBatch) {
@@ -885,9 +885,9 @@ TEST(PoolSteal, CancellationObservedMidBatch) {
   EXPECT_EQ(hb.stats().granules, 0u);
   EXPECT_EQ(hb.stats().steals, 0u);
   const pool::PoolStats ps = pool.stats();
-  EXPECT_EQ(ps.jobs_cancelled, 1u);
-  EXPECT_EQ(ps.jobs_completed, 1u);
-  EXPECT_EQ(ps.granules_executed, 8u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_cancelled"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"), 1u);
+  EXPECT_EQ(testing::metric(ps.metrics, "worker.granules"), 8u);
 }
 
 }  // namespace

@@ -39,6 +39,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -75,6 +76,22 @@ inline std::string numbered(const char* prefix, std::size_t i) {
   std::string s(prefix);
   s += std::to_string(i);
   return s;
+}
+
+/// Value of counter/gauge `name` in a result's metrics snapshot. A missing
+/// name fails the calling test (and reads as all ones), so a misspelled
+/// name cannot pass by reading 0.
+inline std::uint64_t metric(const obs::MetricsSnapshot& m, std::string_view name) {
+  const obs::MetricValue* v = m.find(name);
+  EXPECT_NE(v, nullptr) << name << " missing from the metrics snapshot";
+  return v != nullptr ? v->value : ~std::uint64_t{0};
+}
+
+/// A threaded run's control-plane sections plus its parks on the pool's
+/// condition variable: the executive contention total the batching tests
+/// and gates compare.
+inline std::uint64_t control_and_wait_locks(const obs::MetricsSnapshot& m) {
+  return metric(m, "exec.control_acquisitions") + metric(m, "worker.wait_wakeups");
 }
 
 /// Deterministic program + config from one seed.
@@ -270,13 +287,13 @@ struct CapTally {
   /// worker-cell counters, final once the workers joined).
   void add(const pool::PoolStats& ps, std::uint64_t accepted) {
     jobs.fetch_add(accepted, std::memory_order_relaxed);
-    capped.fetch_add(ps.metrics.value_of("pool.jobs_capped"),
+    capped.fetch_add(metric(ps.metrics, "pool.jobs_capped"),
                      std::memory_order_relaxed);
-    lifts.fetch_add(ps.metrics.value_of("pool.cap_lifts"),
+    lifts.fetch_add(metric(ps.metrics, "pool.cap_lifts"),
                     std::memory_order_relaxed);
-    leaves.fetch_add(ps.metrics.value_of("pool.cap_leaves"),
+    leaves.fetch_add(metric(ps.metrics, "pool.cap_leaves"),
                      std::memory_order_relaxed);
-    preempt_leaves.fetch_add(ps.metrics.value_of("pool.preempt_leaves"),
+    preempt_leaves.fetch_add(metric(ps.metrics, "pool.preempt_leaves"),
                              std::memory_order_relaxed);
   }
 };
@@ -352,7 +369,7 @@ class FaultInjector {
   }
 
   /// Throws actually taken (the expected fault count on the other side of
-  /// the barrier — RtResult::granule_faults / JobStats::granule_faults).
+  /// the barrier — the worker.faulted metric / JobStats::granule_faults).
   [[nodiscard]] std::uint64_t injected() const {
     return injected_.load(std::memory_order_relaxed);
   }
@@ -425,26 +442,18 @@ inline rt::RtResult run_threaded_checked(const GeneratedProgram& g) {
           .run();
   rec.expect_exactly_once();
   EXPECT_EQ(res.granules_executed, g.total);
-  EXPECT_EQ(res.exec_lock_acquisitions,
-            res.refill_lock_acquisitions + res.wait_lock_acquisitions)
-      << "lock-split identity broken";
-  EXPECT_GE(res.tasks_executed, g.phases.size());
+  EXPECT_GE(metric(res.metrics, "worker.tasks"), g.phases.size());
   EXPECT_LE(res.utilization(), 1.0 + 1e-9);
   if (!g.steal) {
-    EXPECT_EQ(res.steals, 0u);
+    EXPECT_EQ(metric(res.metrics, "worker.steals"), 0u);
   }
   // A run is one job on a private kFifo pool: its workers never rotate to
   // another job and never leave to answer an arrival, and a lone worker
   // has nobody to shed, so it never caps the job.
-  auto metric = [&res](const char* name) {
-    const obs::MetricValue* v = res.metrics.find(name);
-    EXPECT_NE(v, nullptr) << name << " missing from the run's metrics";
-    return v != nullptr ? v->value : ~std::uint64_t{0};
-  };
-  EXPECT_EQ(metric("worker.rotations"), 0u);
-  EXPECT_EQ(metric("pool.preempt_leaves"), 0u);
+  EXPECT_EQ(metric(res.metrics, "worker.rotations"), 0u);
+  EXPECT_EQ(metric(res.metrics, "pool.preempt_leaves"), 0u);
   if (g.workers == 1) {
-    EXPECT_EQ(metric("pool.jobs_capped"), 0u);
+    EXPECT_EQ(metric(res.metrics, "pool.jobs_capped"), 0u);
   }
   return res;
 }
@@ -506,11 +515,11 @@ inline void run_pool_checked(const GeneratedProgram& g) {
     const pool::PoolStats ps = pool.stats();
     const pool::JobStats js = main_job.stats();
     EXPECT_EQ(js.granules, g.total);
-    EXPECT_EQ(ps.granules_executed, g.total + cancelled_granules)
+    EXPECT_EQ(metric(ps.metrics, "worker.granules"), g.total + cancelled_granules)
         << "pool totals disagree with per-job sums";
-    EXPECT_EQ(ps.jobs_cancelled, cancelled ? 1u : 0u);
+    EXPECT_EQ(metric(ps.metrics, "pool.jobs_cancelled"), cancelled ? 1u : 0u);
     if (!g.steal) {
-      EXPECT_EQ(ps.steals, 0u);
+      EXPECT_EQ(metric(ps.metrics, "worker.steals"), 0u);
     }
   }
   // Body-side execution count must agree with the job's own accounting,
@@ -723,23 +732,23 @@ inline void run_serve_checked(const GeneratedProgram& g) {
                         << to_string(st);
       }
     }
-    EXPECT_EQ(ps.jobs_submitted, n_jobs);
-    EXPECT_EQ(ps.jobs_completed, n_complete);
-    EXPECT_EQ(ps.jobs_cancelled, n_cancelled);
-    EXPECT_EQ(ps.jobs_rejected, n_rejected);
-    EXPECT_EQ(ps.jobs_deadline_missed, missed);
-    EXPECT_EQ(ps.jobs_deadline_met, met);
+    EXPECT_EQ(metric(ps.metrics, "pool.jobs_submitted"), n_jobs);
+    EXPECT_EQ(metric(ps.metrics, "pool.jobs_completed"), n_complete);
+    EXPECT_EQ(metric(ps.metrics, "pool.jobs_cancelled"), n_cancelled);
+    EXPECT_EQ(metric(ps.metrics, "pool.jobs_rejected"), n_rejected);
+    EXPECT_EQ(metric(ps.metrics, "pool.deadline_missed"), missed);
+    EXPECT_EQ(metric(ps.metrics, "pool.deadline_met"), met);
     pool.shutdown();
     const pool::PoolStats fin = pool.stats();
-    EXPECT_EQ(fin.granules_executed, sum_granules)
+    EXPECT_EQ(metric(fin.metrics, "worker.granules"), sum_granules)
         << "pool totals disagree with per-job sums";
     // Only a job that opened can latch the cap, and a lone worker has
     // nobody to shed or to leave behind, so neither rule acts there.
-    EXPECT_LE(fin.metrics.value_of("pool.jobs_capped"), n_complete + n_cancelled);
+    EXPECT_LE(metric(fin.metrics, "pool.jobs_capped"), n_complete + n_cancelled);
     if (pc.workers == 1) {
-      EXPECT_EQ(fin.metrics.value_of("pool.jobs_capped"), 0u);
-      EXPECT_EQ(fin.metrics.value_of("pool.cap_leaves"), 0u);
-      EXPECT_EQ(fin.metrics.value_of("pool.preempt_leaves"), 0u);
+      EXPECT_EQ(metric(fin.metrics, "pool.jobs_capped"), 0u);
+      EXPECT_EQ(metric(fin.metrics, "pool.cap_leaves"), 0u);
+      EXPECT_EQ(metric(fin.metrics, "pool.preempt_leaves"), 0u);
     }
     cap_tally().add(fin, n_jobs - n_rejected);
   }
@@ -837,12 +846,12 @@ inline void run_fault_checked(std::uint64_t seed) {
     rec.expect_exactly_once();
     EXPECT_FALSE(res.faulted);
     EXPECT_EQ(res.granules_executed, g.total);
-    EXPECT_EQ(res.granule_faults, inj.injected())
+    EXPECT_EQ(metric(res.metrics, "worker.faulted"), inj.injected())
         << "worker-side fault count disagrees with injected throws";
-    EXPECT_EQ(res.granule_retries, inj.injected())
+    EXPECT_EQ(metric(res.metrics, "fault.retries"), inj.injected())
         << "every transient fault is within budget, so retries == faults";
-    EXPECT_EQ(res.granules_poisoned, 0u);
-    EXPECT_EQ(res.map_faults, 0u);
+    EXPECT_EQ(metric(res.metrics, "fault.poisoned"), 0u);
+    EXPECT_EQ(metric(res.metrics, "fault.map"), 0u);
     EXPECT_FALSE(res.fault_summary.empty());
   }
 
@@ -936,17 +945,19 @@ inline void run_fault_checked(std::uint64_t seed) {
       EXPECT_EQ(wjs.granule_retries, wide_faults);
     }
     const pool::PoolStats ps = pool.stats();
-    EXPECT_EQ(ps.jobs_completed, wide != nullptr ? 2u : 1u);
-    EXPECT_EQ(ps.jobs_failed, poison_sibling ? 1u : 0u);
-    EXPECT_EQ(ps.granules_executed, g.total + pjs.granules + wide_granules);
-    EXPECT_EQ(ps.granule_faults, inj.injected() + pinj.injected() + wide_faults)
+    EXPECT_EQ(metric(ps.metrics, "pool.jobs_completed"), wide != nullptr ? 2u : 1u);
+    EXPECT_EQ(metric(ps.metrics, "pool.jobs_failed"), poison_sibling ? 1u : 0u);
+    EXPECT_EQ(metric(ps.metrics, "worker.granules"),
+              g.total + pjs.granules + wide_granules);
+    EXPECT_EQ(metric(ps.metrics, "worker.faulted"),
+              inj.injected() + pinj.injected() + wide_faults)
         << "pool worker-side fault total disagrees with injected throws";
-    EXPECT_EQ(ps.granule_retries,
+    EXPECT_EQ(metric(ps.metrics, "fault.retries"),
               inj.injected() + pjs.granule_retries + wide_faults)
         << "executive-side retry sum disagrees — the two accounting paths "
            "must cross-check";
-    EXPECT_EQ(ps.granules_poisoned, pjs.granules_poisoned);
-    EXPECT_EQ(ps.watchdog_flags, 0u);
+    EXPECT_EQ(metric(ps.metrics, "fault.poisoned"), pjs.granules_poisoned);
+    EXPECT_EQ(metric(ps.metrics, "fault.watchdog_flags"), 0u);
     cap_tally().add(ps, 1 + (poison_sibling ? 1 : 0) + (wide != nullptr ? 1 : 0));
   }
 }
