@@ -62,13 +62,11 @@ rt::RtResult run_once(const PhaseProgram& prog, std::uint32_t workers,
   ExecConfig cfg;
   cfg.grain = 4;
   cfg.early_serial = true;
-  // Stealing off: T6 isolates what *batching* buys on the serial handoff;
-  // the decentralized layer on top is T8's experiment (bench_t8_steal).
+  // Rundown stealing runs at every batch size, so the rows differ in batch
+  // alone.
   rt::RtConfig rc;
   rc.workers = workers;
   rc.batch = batch;
-  rc.steal = false;
-  rc.adaptive_grain = false;
   rc.shards = 1;  // single-lock protocol: this bench isolates batching alone
   rt::ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, rc);
   return runtime.run();

@@ -155,9 +155,9 @@ int main(int argc, char** argv) {
   jobs.reserve(specs.size());
   for (const JobSpec& s : specs) jobs.push_back(build_job(s));
 
-  // One full experiment: sequential baseline, then the pool. Stealing off
-  // on both sides: T7 isolates what *cross-job rotation* buys; the intra-job
-  // dispatch layer is T8's experiment (bench_t8_steal).
+  // One full experiment: sequential baseline, then the pool, with the same
+  // batch, shard count and rundown stealing on both sides, so the
+  // difference is what *cross-job rotation* buys.
   struct Measurement {
     std::vector<rt::RtResult> solo;
     std::vector<pool::JobStats> job_stats;
@@ -173,8 +173,6 @@ int main(int argc, char** argv) {
     rt::RtConfig solo_rc;
     solo_rc.workers = kWorkers;
     solo_rc.batch = 4;
-    solo_rc.steal = false;
-    solo_rc.adaptive_grain = false;
     solo_rc.shards = 1;  // this bench isolates cross-job rotation
     std::chrono::nanoseconds seq_busy{0}, seq_wall{0};
     for (const BuiltJob& j : jobs) {
@@ -192,9 +190,7 @@ int main(int argc, char** argv) {
     pool::PoolRuntime pool({.workers = kWorkers,
                             .batch = 4,
                             .policy = pool::SchedPolicy::kFairShare,
-                            .shards = 1,  // isolate rotation, not sharding
-                            .steal = false,
-                            .adaptive_grain = false});
+                            .shards = 1});  // isolate rotation, not sharding
     std::vector<pool::JobHandle> handles;
     for (std::size_t i = 0; i < jobs.size(); ++i)
       handles.push_back(

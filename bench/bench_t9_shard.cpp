@@ -10,7 +10,7 @@
 // different shards never contend and the control mutex is entered a
 // fraction as often, for sections amortized over whole sweeps.
 //
-// Workload: the T8 two-phase identity program with ramped granule cost, at
+// Workload: a two-phase identity program with ramped granule cost, at
 // 8+ workers. Baseline is shards = 1 — the layer short-circuits to the PR 3
 // single-mutex protocol on identical machinery — versus the kAutoShards
 // geometry (2x workers).

@@ -24,14 +24,13 @@
 namespace pax::bench {
 
 /// A threaded run's control-plane sections plus its parks on the pool's
-/// condition variable: the executive contention total the T6/T8/T9 gates
-/// compare (exec.control_acquisitions + worker.wait_wakeups).
+/// condition variable: the executive contention total the T6 gate
+/// compares (exec.control_acquisitions + worker.wait_wakeups).
 inline std::uint64_t control_and_wait_locks(const rt::RtResult& r) {
   return r.metrics.at("exec.control_acquisitions") + r.metrics.at("worker.wait_wakeups");
 }
 
-/// Per-run rundown instrumentation shared by the T8/T9 gates (one metric
-/// definition, so the two gates can never silently diverge): bodies count
+/// Per-run rundown instrumentation of the T9 gate: bodies count
 /// retired granules; whoever crosses the 90% threshold stamps t90, and
 /// every body ending after t90 adds its overlap with [t90, end] to the
 /// window busy time.

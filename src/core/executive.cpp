@@ -123,8 +123,7 @@ ExecutiveCore::ExecutiveCore(const PhaseProgram& program, ExecConfig config,
       ws_(std::make_unique<Workspace>()),
       serial_done_early_(program.size(), 0),
       branch_predecided_(program.size(), -1),
-      node_pending_run_(program.size(), kNoRun),
-      grain_limit_(config.grain) {
+      node_pending_run_(program.size(), kNoRun) {
   PAX_CHECK_MSG(config_.grain > 0, "grain must be positive");
 }
 
@@ -376,16 +375,13 @@ std::optional<Assignment> ExecutiveCore::request_work(WorkerId) {
   if (d == nullptr) return std::nullopt;
   if (d->pending_split != nullptr) force_pending_split(*d);
 
-  // One relaxed load per request: the steal-rate signal may update the limit
-  // concurrently (it is the only unlocked writer); a torn view across two
-  // loads could carve a piece wider than the cap.
-  const GranuleId limit = grain_limit_.load(std::memory_order_relaxed);
+  const GranuleId grain = config_.grain;
   Descriptor* task;
-  if (d->range.size() <= limit) {
+  if (d->range.size() <= grain) {
     waiting_.remove(*d);
     task = d;
   } else {
-    task = &carve(*d, {d->range.lo, d->range.lo + limit});
+    task = &carve(*d, {d->range.lo, d->range.lo + grain});
   }
   task->state = DescState::kAssigned;
 

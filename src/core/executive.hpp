@@ -23,8 +23,8 @@
 // and the core member is PAX_GUARDED_BY it (DESIGN.md §11) — the
 // thread-safety analysis rejects any new call path that reaches the core
 // without it. The one deliberate hole, core_unsynchronized(), is for
-// pre-start configuration and post-quiescence reads only. The atomic grain
-// limit below is the single field workers touch without the lock.
+// pre-start configuration and post-quiescence reads only; no field of the
+// core is touched outside the lock.
 //
 // Memory discipline (DESIGN.md §10): the steady-state worker protocol —
 // request_work/request_work_batch, complete/complete_batch — performs no
@@ -38,8 +38,6 @@
 // bench_t10_alloc gates allocs/granule end to end.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -266,25 +264,6 @@ class ExecutiveCore {
     return waiting_.elevated_size();
   }
 
-  /// Cap on the grain used when carving worker assignments, clamped to
-  /// [1, configured grain]. The dispatch layer's steal-rate signal lowers it
-  /// during rundown — the existing split machinery then carves finer pieces
-  /// at request time — and restores it in steady state. Passing 0 resets to
-  /// the configured grain. Atomic: the steal-rate signal publishes the limit
-  /// from whichever worker trips it, without holding the lock that guards
-  /// the rest of the core, while a peer inside the request path reads it.
-  /// Relaxed suffices — the limit is a heuristic and a stale read only means
-  /// one assignment carved at the previous grain.
-  void set_grain_limit(GranuleId g) {
-    grain_limit_.store(g == 0 ? config_.grain
-                              : std::max<GranuleId>(1, std::min(g, config_.grain)),
-                       std::memory_order_relaxed);
-  }
-  [[nodiscard]] GranuleId effective_grain() const {
-    return grain_limit_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] GranuleId configured_grain() const { return config_.grain; }
-
   /// Idle-time work *may* be pending (presplitting is excluded: it only
   /// matters while the waiting queue is non-empty). May report stale `true`
   /// for dead map builds or retired split tasks; idle_work() is the exact
@@ -453,7 +432,6 @@ class ExecutiveCore {
 
   ExecEventSink* sink_ = nullptr;  ///< non-owning; rides the core's lock
 
-  std::atomic<GranuleId> grain_limit_;  ///< effective grain cap (init: config grain)
   std::uint32_t pc_ = 0;
   RunId waiting_run_ = kNoRun;   ///< run the program counter is blocked on
   RunId node_pc_run_ = kNoRun;   ///< run produced by the last dispatch node

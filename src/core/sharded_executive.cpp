@@ -82,9 +82,9 @@ ShardedExecutive::ShardedExecutive(const PhaseProgram& program,
       trace_job_(config.trace_job),
       core_(program, exec_config, costs) {
   // Worst-case tickets parked in deposit boxes at any instant: every worker
-  // holds at most one local queue's worth (2x batch with stealing). Reserving
-  // that up front means deposits and sweeps never grow a vector mid-run —
-  // the flush threshold bounds the *typical* box size, not the peak.
+  // holds at most one local queue's worth (2x batch). Reserving that up
+  // front means deposits and sweeps never grow a vector mid-run — the flush
+  // threshold bounds the *typical* box size, not the peak.
   const std::size_t max_outstanding =
       std::size_t{2} * config.workers * std::max(1u, config.batch);
   shards_.reserve(nshards_);
@@ -319,7 +319,6 @@ void ShardedExecutive::sweep_locked(ShardAcquire& res, WorkerId w,
   if (touched > 0) core_.ledger().charge(MgmtOp::kShardFlush, costs_, touched);
 
   publish_core_census();
-  res.program_finished = core_.finished();
   res.swept = true;
 }
 
@@ -468,7 +467,6 @@ ShardAcquire ShardedExecutive::acquire(WorkerId w, std::size_t max_n,
       trace_event(w, obs::TraceKind::kShardSweep,
                   static_cast<std::uint32_t>(res.retired));
     }
-    res.program_finished = finished();
     return res;
   }
 
@@ -486,7 +484,6 @@ ShardAcquire ShardedExecutive::acquire(WorkerId w, std::size_t max_n,
       }
       if (max_n > 0) res.taken = core_.request_work_batch(w, max_n, out);
       publish_core_census();
-      res.program_finished = core_.finished();
       res.swept = true;
     }
     // Trace AFTER the control section so the record's clock read never
@@ -591,7 +588,6 @@ ShardAcquire ShardedExecutive::fail_batch(WorkerId w,
         recall_abandon_locked();
     }
     publish_core_census();
-    res.program_finished = core_.finished();
     res.swept = true;
   }
   if (retries_after > retries_before)

@@ -91,11 +91,10 @@ struct ShardConfig {
   std::uint32_t workers = 4;
   /// The runtime's retire batch, and the unit the shard buffers derive from:
   /// each ready ring holds `batch` assignments (bounds how much work is
-  /// pre-carved ahead of execution, so rundown tails are not locked into
-  /// coarse pieces carved before the adaptive grain kicked in), and `2 x
-  /// batch` deposited tickets force a control sweep even while the rings
-  /// still hold work (bounds enablement latency: a ticket waits at most one
-  /// flush interval before its completions are processed).
+  /// carved and parked in the rings ahead of execution), and `2 x batch`
+  /// deposited tickets force a control sweep even while the rings still
+  /// hold work (bounds enablement latency: a ticket waits at most one flush
+  /// interval before its completions are processed).
   std::uint32_t batch = 1;
 
   /// Optional trace buffer (non-owning; null = tracing off, each emit site
@@ -117,7 +116,6 @@ struct ShardAcquire {
   /// Work became visible to peers (an enablement enqueued, or a sweep
   /// scattered assignments into shard buffers): drivers wake sleepers.
   bool new_work = false;
-  bool program_finished = false;
   bool swept = false;           ///< this call entered the control plane
 };
 
@@ -232,24 +230,6 @@ class ShardedExecutive {
     // Relaxed: a heuristic gate, same contract as the census probes — the
     // authoritative stop is the core's flag under the control mutex.
     return stop_requested_.load(std::memory_order_relaxed);
-  }
-
-  /// Forwarded to the core's atomic grain limit — no lock required (that is
-  /// the point of the grain-limit fix: the steal-rate signal publishes it
-  /// from outside every control section).
-  // SAFETY: grain_limit_ is a relaxed atomic inside the core, designed to be
-  // published with no lock held; this call touches nothing else of core_.
-  void set_grain_limit(GranuleId g) PAX_NO_THREAD_SAFETY_ANALYSIS {
-    core_.set_grain_limit(g);
-  }
-
-  /// The core's configured (pre-adaptive-limit) grain, for the dispatch
-  /// layer's hot path.
-  // SAFETY: reads ExecConfig::grain, which is set at construction and never
-  // written again — constant after construction needs no lock.
-  [[nodiscard]] GranuleId configured_grain() const
-      PAX_NO_THREAD_SAFETY_ANALYSIS {
-    return core_.configured_grain();
   }
 
   // --- lock-free census probes ---------------------------------------------
@@ -387,8 +367,8 @@ class ShardedExecutive {
   /// single-threaded core, the sweep staging and the scatter spill.
   mutable RankedMutex<LockRank::kControl> control_mu_;
   /// The wrapped single-threaded executive. Every entry goes through the
-  /// control mutex except the three annotated escape hatches above (atomic
-  /// grain limit, constant config, quiescent driver access).
+  /// control mutex except the one annotated escape hatch above,
+  /// core_unsynchronized() (quiescent driver access).
   ExecutiveCore core_ PAX_GUARDED_BY(control_mu_);
   std::vector<std::unique_ptr<Shard>> shards_;
 

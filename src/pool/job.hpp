@@ -204,22 +204,17 @@ struct Job {
 
   /// Refresh the pick probe from the executive census and the local queues;
   /// true when it flipped from not-runnable to runnable — only then can a
-  /// sleeper be stuck, so only then must the caller wake the pool. With
-  /// stealing on, local-queue work counts as runnable because a rotating
-  /// worker can adopt this job purely to steal from a loaded peer (rundown
-  /// stealing at pool scope) — the steal then drains that work, so the probe
-  /// converges false. With stealing off the term must stay out: an adopter
-  /// could neither steal nor refill and would busy-spin re-adopting the job
-  /// until the owner drained its queue. The census a sleeper depends on
-  /// seeing flips inside the executive's shard/control sections, and every
-  /// refill refreshes this probe afterwards, so the wake path (through the
-  /// pool mutex) still closes the lost-wakeup window; later owner pops can
-  /// only make the probe over-report, which the adopting worker resolves by
-  /// rotating on.
+  /// sleeper be stuck, so only then must the caller wake the pool.
+  /// Local-queue work counts as runnable because a rotating worker can adopt
+  /// this job purely to steal from a loaded peer (rundown stealing at pool
+  /// scope) — the steal then drains that work, so the probe converges false.
+  /// The census a sleeper depends on seeing flips inside the executive's
+  /// shard/control sections, and every refill refreshes this probe
+  /// afterwards, so the wake path (through the pool mutex) still closes the
+  /// lost-wakeup window; later owner pops can only make the probe
+  /// over-report, which the adopting worker resolves by rotating on.
   [[nodiscard]] bool refresh_probes() {
-    const bool now =
-        exec.runnable() ||
-        (dispatcher.config().steal && dispatcher.any_local_work());
+    const bool now = exec.runnable() || dispatcher.any_local_work();
     const bool before = core_runnable.exchange(now, std::memory_order_relaxed);
     return now && !before;
   }

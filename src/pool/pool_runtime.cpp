@@ -438,7 +438,7 @@ void PoolRuntime::worker_main(WorkerId id) {
         // The job's executive is dry but peers may still hold fat local
         // queues — its rundown. Steal a FIFO range from the most-loaded
         // peer before giving up residency (a cap leaver just leaves).
-        if (config_.steal && !leaving) {
+        if (!leaving) {
           const std::size_t got = job->dispatcher.try_steal(id);
           if (got > 0) {
             steals += got;

@@ -56,10 +56,10 @@ namespace pax::pool {
 
 struct PoolConfig {
   std::uint32_t workers = 4;
-  /// Refill floor and the no-steal local-queue capacity, per resident job;
-  /// with stealing on, one job-executive critical section may retire/pull
-  /// up to the local queue capacity of 2x batch (sched::kDefaultBatch, the
-  /// value RtConfig::batch passes through).
+  /// Refill floor per resident job: one job-executive critical section may
+  /// retire/pull up to the local queue capacity of 2x batch, the surplus
+  /// left for peers to steal (sched::kDefaultBatch, the value
+  /// RtConfig::batch passes through).
   std::uint32_t batch = sched::kDefaultBatch;
   /// Which runnable job a rotating worker adopts. Under kDeadline and
   /// kPriority, which rank by urgency fixed at submit, an arrival that
@@ -73,10 +73,6 @@ struct PoolConfig {
   /// pool construction. A per-job override passed to submit() must agree
   /// with an explicit pool-level value.
   std::uint32_t shards = kAutoShards;
-  /// Rundown work stealing between peer local queues of the resident job.
-  bool steal = true;
-  /// Steal-rate signal halves a job's effective grain during its rundown.
-  bool adaptive_grain = true;
   /// Admission control: maximum number of non-terminal jobs the pool holds
   /// at once (queued + running). 0 = unbounded (the batch default). When the
   /// bound is hit, submit() returns a handle already in JobState::kRejected
@@ -168,11 +164,7 @@ class PoolRuntime {
 
   /// The per-job dispatch-layer configuration a pool under `c` submits with.
   [[nodiscard]] static sched::DispatchConfig dispatch_config(const PoolConfig& c) {
-    return {.workers = c.workers,
-            .batch = c.batch,
-            .steal = c.steal,
-            .adaptive_grain = c.adaptive_grain,
-            .trace = c.trace};
+    return {.workers = c.workers, .batch = c.batch, .trace = c.trace};
   }
 
   /// Build job `id` (executive setup; takes no pool lock) with the shard and

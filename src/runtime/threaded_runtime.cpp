@@ -27,8 +27,6 @@ pool::PoolConfig pool_config(const RtConfig& c) {
           .batch = c.batch,
           .policy = pool::SchedPolicy::kFifo,
           .shards = c.shards,
-          .steal = c.steal,
-          .adaptive_grain = c.adaptive_grain,
           .max_pending = 0,
           .trace = c.trace};
 }

@@ -18,7 +18,7 @@
 // (DESIGN.md §8): each worker owns a bounded local run-queue refilled from
 // its home shard, and when shards, executive and local queue all run dry —
 // the rundown signal — the worker steals a FIFO range from the most-loaded
-// peer. A steal-rate signal adaptively halves the effective grain.
+// peer. Every assignment is carved at ExecConfig::grain.
 //
 // What the pool loop brings to a threaded run (DESIGN.md §7): the residency
 // rule applies, so a management-bound program (control plane costlier than
@@ -56,21 +56,15 @@ namespace pax::rt {
 
 struct RtConfig {
   std::uint32_t workers = 4;
-  /// Refill floor and the no-steal queue capacity; with stealing on, one
-  /// critical section may retire/pull up to the local queue capacity of 2x
-  /// batch (over-refill absorbed by steals). Defaults to the pool's value
-  /// (sched::kDefaultBatch). batch 1 with steal off = the classic
-  /// single-item handoff.
+  /// Refill floor: one critical section may retire/pull up to the local
+  /// queue capacity of 2x batch (over-refill absorbed by steals). Defaults
+  /// to the pool's value (sched::kDefaultBatch).
   std::uint32_t batch = sched::kDefaultBatch;
   /// Executive shards (lock-free granule-handout partitions, DESIGN.md
   /// §13). kAutoShards = 2x workers clamped to the largest phase (1 for a
   /// single worker); 1 = the single-mutex protocol; 0 is invalid and
   /// fails at construction.
   std::uint32_t shards = kAutoShards;
-  /// Rundown work stealing between workers' local queues.
-  bool steal = true;
-  /// Steal-rate signal halves the effective grain during rundown.
-  bool adaptive_grain = true;
   /// Optional trace buffer (non-owning; must outlive the runtime and be
   /// sized for >= `workers`). Null = tracing off: every emit site in the
   /// executive, dispatcher and worker loop is one untaken branch. When set,

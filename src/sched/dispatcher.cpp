@@ -11,8 +11,7 @@ Dispatcher::Dispatcher(DispatchConfig config)
       capacity_(config.effective_capacity()),
       scratch_(config.workers),
       faults_(config.workers),
-      exec_cells_(std::make_unique<ExecCell[]>(config.workers)),
-      window_size_(std::max<std::uint64_t>(16, 4ull * config.workers)) {
+      exec_cells_(std::make_unique<ExecCell[]>(config.workers)) {
   PAX_CHECK_MSG(config_.workers > 0, "need at least one worker");
   PAX_CHECK_MSG(config_.batch > 0, "batch must be at least 1");
   queues_.reserve(config_.workers);
@@ -25,33 +24,17 @@ Dispatcher::Dispatcher(DispatchConfig config)
   }
 }
 
-RefillOutcome Dispatcher::refill(ShardedExecutive& ex, WorkerId w,
-                                 std::vector<Ticket>& done) {
-  RefillOutcome out;
-  if (config_.adaptive_grain) {
-    // configured_grain() is constant after construction; the annotated
-    // accessor keeps the hot path off core_unsynchronized(), whose contract
-    // (quiescence) this call site cannot meet.
-    const GranuleId base = ex.configured_grain();
-    const auto shift = grain_shift_.load(std::memory_order_relaxed);
-    ex.set_grain_limit(std::max<GranuleId>(1, base >> shift));
-  }
-
+std::size_t Dispatcher::refill(ShardedExecutive& ex, WorkerId w,
+                               std::vector<Ticket>& done) {
   const std::size_t room = capacity_ - std::min(capacity_, queues_[w]->size());
-  if (room == 0 && done.empty()) return out;
+  if (room == 0 && done.empty()) return 0;
   std::vector<Assignment>& buf = scratch_[w];
   buf.clear();
-  const ShardAcquire ar = ex.acquire(w, room, done, buf);
+  const std::size_t taken = ex.acquire(w, room, done, buf).taken;
   push_reversed(w, buf);
-  out.refilled = ar.taken;
-  out.completion.new_work = ar.new_work;
-  out.completion.program_finished = ar.program_finished;
-  if (out.refilled > 0) {
-    note_event(/*was_steal=*/false);
-    trace_event(w, obs::TraceKind::kRefill,
-                static_cast<std::uint32_t>(out.refilled));
-  }
-  return out;
+  if (taken > 0)
+    trace_event(w, obs::TraceKind::kRefill, static_cast<std::uint32_t>(taken));
+  return taken;
 }
 
 void Dispatcher::retire(ShardedExecutive& ex, WorkerId w,
@@ -145,7 +128,7 @@ void Dispatcher::drain_local(const rt::BodyTable& bodies, WorkerId w,
 }
 
 std::size_t Dispatcher::try_steal(WorkerId w) {
-  if (!config_.steal || config_.workers < 2) return 0;
+  if (config_.workers < 2) return 0;
   WorkerId victim = w;
   std::size_t most = 0;
   for (WorkerId peer = 0; peer < config_.workers; ++peer) {
@@ -171,7 +154,6 @@ std::size_t Dispatcher::try_steal(WorkerId w) {
     return 0;
   }
   push_reversed(w, buf);
-  note_event(/*was_steal=*/true);
   trace_event(w, obs::TraceKind::kStealSuccess, static_cast<std::uint32_t>(got));
   return got;
 }
@@ -206,40 +188,10 @@ bool Dispatcher::any_local_work() const {
   return false;
 }
 
-bool Dispatcher::stealable_by(WorkerId w) const {
-  for (WorkerId peer = 0; peer < config_.workers; ++peer)
-    if (peer != w && queues_[peer]->size() > 0) return true;
-  return false;
-}
-
 std::size_t Dispatcher::peak_occupancy() const {
   std::size_t peak = 0;
   for (const auto& q : queues_) peak = std::max(peak, q->peak());
   return peak;
-}
-
-void Dispatcher::note_event(bool was_steal) {
-  if (!config_.adaptive_grain) return;
-  // Relaxed throughout: the window counters synchronize with nothing — they
-  // feed a grain heuristic, and a racy window reset only blurs one window's
-  // edges (two workers may both observe the rollover; the double-reset
-  // drops at most one window of events, never corrupts the shift).
-  if (was_steal) window_steals_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t ev = window_events_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (ev < window_size_) return;
-  window_events_.store(0, std::memory_order_relaxed);
-  const std::uint64_t steals = window_steals_.exchange(0, std::memory_order_relaxed);
-  std::uint32_t shift = grain_shift_.load(std::memory_order_relaxed);
-  if (steals * 4 >= window_size_) {
-    if (shift < kMaxGrainShift) ++shift;  // rundown: carve finer
-  } else if (shift > 0) {
-    // Below the raise threshold: restore coarseness. Decaying on any
-    // sub-threshold window (not only steal-free ones) keeps natural
-    // scheduling jitter — a trickle of steals — from latching a halved
-    // grain through a long steady-state phase.
-    --shift;
-  }
-  grain_shift_.store(shift, std::memory_order_relaxed);
 }
 
 }  // namespace pax::sched

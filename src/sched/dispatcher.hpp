@@ -13,25 +13,21 @@
 //     queue through the sharded executive, which locks internally;
 //   * when a worker's local queue and the executive's waiting queue are both
 //     dry — the rundown signal — try_steal() takes a FIFO range from the
-//     most-loaded peer queue without touching the executive at all;
-//   * a steal-rate signal adaptively halves the effective grain (via
-//     ExecutiveCore::set_grain_limit, i.e. the executive's existing split
-//     machinery carves finer pieces) so rundown tails stay fine-grained
-//     while steady state stays coarse.
+//     most-loaded peer queue without touching the executive at all.
 //
-// With stealing enabled the local queue lets a worker over-refill beyond the
-// retire batch (capacity 2x batch): fat refills are safe because peers steal
-// the excess back during the tail — the over-decomposition-absorbed-by-
-// local-scheduling move of the virtual-processors SPMD line. With stealing
-// disabled the capacity is exactly `batch`, which
-// reproduces the PR 1 batched protocol on the same machinery (how bench_t8
-// baselines the layer).
+// The local queue lets a worker over-refill beyond the retire batch
+// (capacity 2x batch): fat refills are safe because peers steal the excess
+// back during the tail — the over-decomposition-absorbed-by-local-scheduling
+// move of the virtual-processors SPMD line. Every assignment is carved at
+// the program's grain (ExecConfig::grain); the steal, not a finer carve,
+// balances the tail.
 //
 // Each pool::PoolRuntime job (a threaded run is a one-job pool) owns one
 // dispatcher for its own core, so stealing stays within a job (tickets are
-// per-core) while the pool's cross-job rotation handles the rest. The worker-side body-execution half of the old
-// runtime/worker_loop.hpp (BodyLoopStats, execute/drain) lives here too:
-// the dispatcher is its new home.
+// per-core) while the pool's cross-job rotation handles the rest. The
+// worker-side body-execution half of the old runtime/worker_loop.hpp
+// (BodyLoopStats, execute/drain) lives here too: the dispatcher is its new
+// home.
 #pragma once
 
 #include <atomic>
@@ -58,10 +54,6 @@ struct DispatchConfig {
   /// Finished tickets retired per executive critical section (and the refill
   /// floor — see effective_capacity()).
   std::uint32_t batch = kDefaultBatch;
-  /// Rundown work stealing between peer local queues.
-  bool steal = true;
-  /// Steal-rate signal halves the effective grain during rundown.
-  bool adaptive_grain = true;
   /// Optional trace buffer (non-owning; null = off). With tracing on,
   /// drain_local reads the clock once after each body and chains the stamps
   /// (a task's exec-begin is the previous task's exec-end, or the drain's
@@ -70,10 +62,10 @@ struct DispatchConfig {
   /// Job lane tag on emitted records (the pool sets its job id here).
   std::uint64_t trace_job = obs::kNoTraceJob;
 
-  /// Per-worker local run-queue slots: 2x batch with stealing (over-refill
-  /// absorbed by steals), exactly batch without (the plain batched protocol).
+  /// Per-worker local run-queue slots: 2x batch (over-refill absorbed by
+  /// peer steals during the tail).
   [[nodiscard]] std::size_t effective_capacity() const {
-    return steal ? std::size_t{2} * batch : std::size_t{batch};
+    return std::size_t{2} * batch;
   }
 };
 
@@ -96,30 +88,21 @@ struct BodyLoopStats {
   }
 };
 
-/// What one refill() did.
-struct RefillOutcome {
-  CompletionResult completion{};  ///< of the retire (ORed ticket outcomes)
-  std::size_t refilled = 0;       ///< assignments pulled into the local queue
-};
-
 class Dispatcher {
  public:
   explicit Dispatcher(DispatchConfig config);
 
   [[nodiscard]] std::uint32_t workers() const { return config_.workers; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] const DispatchConfig& config() const { return config_; }
 
   /// Deposit `done` (cleared on return) and refill worker `w`'s local queue
   /// up to capacity from the sharded executive's home/sibling shard rings
   /// (control-plane sweep only as a fallback — see
   /// ShardedExecutive::acquire). The warm case takes no mutex anywhere
   /// (DESIGN.md §13): ring pops and pushes only. Any locking that does
-  /// happen is internal to `ex`; the caller holds nothing. The adaptive
-  /// grain limit is published through the core's atomic before the pull,
-  /// which is exactly why the limit had to stop being a plain field: this
-  /// store races with a sweeping peer's request path.
-  RefillOutcome refill(ShardedExecutive& ex, WorkerId w, std::vector<Ticket>& done);
+  /// happen is internal to `ex`; the caller holds nothing. Returns the
+  /// number of assignments pulled into the local queue.
+  std::size_t refill(ShardedExecutive& ex, WorkerId w, std::vector<Ticket>& done);
 
   /// Retire `done` (cleared on return) without pulling new work: the last
   /// rounds of a worker leaving a capped pool job (DESIGN.md §7). Same
@@ -167,8 +150,9 @@ class Dispatcher {
   }
 
   /// Rundown stealing: move a FIFO range from the most-loaded peer queue
-  /// into `w`'s queue. Returns the number of assignments stolen (0 = every
-  /// peer was dry or raced dry). Never touches the executive.
+  /// into `w`'s queue. Returns the number of assignments stolen (0 = a lone
+  /// worker, or every peer was dry or raced dry). Never touches the
+  /// executive.
   std::size_t try_steal(WorkerId w);
 
   [[nodiscard]] std::size_t occupancy(WorkerId w) const {
@@ -176,19 +160,12 @@ class Dispatcher {
   }
   /// Any queue non-empty (job-level probe for the pool's rotation pick).
   [[nodiscard]] bool any_local_work() const;
-  /// Any queue other than `w`'s non-empty (sleep predicate for stealers).
-  [[nodiscard]] bool stealable_by(WorkerId w) const;
 
   /// High-water mark of local-queue occupancy across all workers.
   [[nodiscard]] std::size_t peak_occupancy() const;
 
-  /// Current adaptive-grain halvings (0 = full configured grain).
-  [[nodiscard]] std::uint32_t grain_shift() const {
-    return grain_shift_.load(std::memory_order_relaxed);
-  }
-
  private:
-  void note_event(bool was_steal);
+  void push_reversed(WorkerId w, const std::vector<Assignment>& buf);
   /// Emit a worker-track instant record (no-op when tracing is off).
   void trace_event(WorkerId w, obs::TraceKind kind, std::uint32_t aux);
   /// Cold half of the exception barrier: record the fault into `w`'s
@@ -205,8 +182,7 @@ class Dispatcher {
   DispatchConfig config_;
   std::size_t capacity_;
   /// The queues lock internally (LocalRunQueue's own ranked mutex); the
-  /// Dispatcher itself holds no lock — its remaining shared state is the
-  /// relaxed steal-rate window below.
+  /// Dispatcher itself holds no lock.
   std::vector<std::unique_ptr<LocalRunQueue>> queues_;
   /// Worker-private refill/steal staging buffers: scratch_[w] is touched
   /// only by worker w's thread (refill and try_steal are called by the
@@ -216,18 +192,6 @@ class Dispatcher {
   std::vector<std::vector<GranuleFault>> faults_;
   /// Watchdog sampling cells (see body_seq).
   std::unique_ptr<ExecCell[]> exec_cells_;
-
-  // Steal-rate signal: over a window of productive acquisitions (refills
-  // that returned work, successful steals), a steal share >= 1/4 halves the
-  // effective grain (up to kMaxGrainShift times); a window below that
-  // threshold doubles it back. Relaxed atomics — the signal is a heuristic,
-  // racy resets only blur the window edges.
-  static constexpr std::uint32_t kMaxGrainShift = 6;
-  void push_reversed(WorkerId w, const std::vector<Assignment>& buf);
-  std::uint64_t window_size_;
-  std::atomic<std::uint64_t> window_events_{0};
-  std::atomic<std::uint64_t> window_steals_{0};
-  std::atomic<std::uint32_t> grain_shift_{0};
 };
 
 }  // namespace pax::sched

@@ -57,11 +57,12 @@ class LocalRunQueue {
     return true;
   }
 
-  /// Owner: append `buf` back-to-front under ONE lock acquisition (the
-  /// dispatcher's refill runs inside the executive critical section, so
-  /// per-assignment lock round-trips there would lengthen exactly the
-  /// serial section the dispatch layer exists to shrink). All-or-nothing:
-  /// false when the ring lacks room for the whole buffer.
+  /// Owner: append `buf` back-to-front under ONE lock acquisition. The
+  /// dispatcher pushes a refill after ShardedExecutive::acquire returns,
+  /// with no executive lock held, and a steal's loot the same way; one bulk
+  /// section instead of a lock round-trip per assignment keeps a thief
+  /// probing this queue from waiting out a whole batch of them.
+  /// All-or-nothing: false when the ring lacks room for the whole buffer.
   bool push_reversed(const std::vector<Assignment>& buf) PAX_EXCLUDES(mu_) {
     RankedLock lock(mu_);
     if (buf.size() > capacity_ - count_) return false;

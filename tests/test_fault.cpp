@@ -62,8 +62,6 @@ rt::RtConfig config_of(const GeneratedProgram& g) {
   rc.workers = g.workers;
   rc.batch = g.batch;
   rc.shards = g.shards;
-  rc.steal = g.steal;
-  rc.adaptive_grain = g.adaptive_grain;
   return rc;
 }
 

@@ -296,18 +296,16 @@ TEST(RankedMutexTryLockDeathTest, SuccessfulOutOfRankTryAbortsWhenChecked) {
 // One run of any multi-threaded test certifies the lock graph acyclic in a
 // checked build — these two force traffic through every re-scoped guard:
 // control sweeps + ring deposits + sibling pulls (many shards, small
-// batches), queue pushes/pops/steals (steal on, more workers than shards
-// busy), the pool mutex's sleep path (workers outnumber work at the tail),
-// and the job-bookkeeping and pool-accounting sections including the
-// finalize path's job-mutex -> queue-mutex peak probe — the threaded run
-// through its one-job pool, the pool run with a cancel on top.
+// batches), queue pushes/pops/steals (more workers than shards busy), the
+// pool mutex's sleep path (workers outnumber work at the tail), and the
+// job-bookkeeping and pool-accounting sections including the finalize
+// path's job-mutex -> queue-mutex peak probe — the threaded run through its
+// one-job pool, the pool run with a cancel on top.
 TEST(LockRankIntegration, ThreadedSweepAndStealTrafficIsRankClean) {
   testing::GeneratedProgram g = testing::generate_program(/*seed=*/1986);
   g.workers = 4;
   g.batch = 2;
   g.shards = kAutoShards;
-  g.steal = true;
-  g.adaptive_grain = true;
   const rt::RtResult res = testing::run_threaded_checked(g);
   // shard.hits counts home and sibling hits.
   EXPECT_GT(testing::metric(res.metrics, "shard.hits"), 0u)
@@ -319,7 +317,6 @@ TEST(LockRankIntegration, PoolFinalizeAndCancelTrafficIsRankClean) {
   g.workers = 4;
   g.batch = 2;
   g.shards = kAutoShards;
-  g.steal = true;
   g.cancel_second_job = true;  // exercises cancel's pool-then-job sequence
   testing::run_pool_checked(g);
 }

@@ -222,8 +222,6 @@ rt::RtResult run_threaded_traced(const testing::GeneratedProgram& g,
   rc.workers = g.workers;
   rc.batch = g.batch;
   rc.shards = g.shards;
-  rc.steal = g.steal;
-  rc.adaptive_grain = g.adaptive_grain;
   rc.trace = &trace;
   rt::RtResult res = rt::ThreadedRuntime(g.program, g.exec,
                                          CostModel::free_of_charge(), bodies, rc)
@@ -327,8 +325,7 @@ TEST(DispatcherTracing, ExecStampsChainWithinADrain) {
   ex.start();
 
   TraceBuffer trace(1, {.ring_capacity = kTestRing});
-  sched::Dispatcher d({.workers = 1, .batch = 4, .steal = true,
-                       .adaptive_grain = false, .trace = &trace});
+  sched::Dispatcher d({.workers = 1, .batch = 4, .trace = &trace});
   rt::BodyTable bodies;
   bodies.set(p, [](GranuleRange, WorkerId) {});
 
@@ -388,8 +385,6 @@ TEST(PoolTracing, JobLifecycleAndGranuleIdentities) {
     pc.workers = g.workers;
     pc.batch = g.batch;
     pc.shards = g.shards;
-    pc.steal = g.steal;
-    pc.adaptive_grain = g.adaptive_grain;
     pc.trace = &trace;
 
     pool::PoolRuntime pool(pc);

@@ -328,14 +328,12 @@ TEST(RtBatchedHandoff, FewerLockAcquisitionsSameWork) {
     ExecConfig cfg;
     cfg.grain = 4;
     cfg.early_serial = true;
-    // Stealing and adaptive grain off: this test isolates what batching
-    // alone buys, so task counts stay bit-identical across batch sizes
-    // (test_sched covers the dispatch layer on top).
+    // Every assignment is carved at the grain, so task counts stay equal
+    // across batch sizes whoever runs or steals them (test_sched covers
+    // the dispatch layer on top).
     RtConfig rc;
     rc.workers = 4;
     rc.batch = batch;
-    rc.steal = false;
-    rc.adaptive_grain = false;
     ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, rc);
     return runtime.run();
   };

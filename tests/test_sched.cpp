@@ -1,9 +1,9 @@
 // Dispatch-layer tests: local run-queue geometry (owner LIFO / thief FIFO),
 // dispatcher refill-retire edge cases in their new home (empty-batch retire,
-// refill returning zero while peers hold work, adaptive grain), the drain's
-// busy span and watchdog sequence cell, threaded and pool integration with
-// stealing on, and cancellation observed mid-batch. The suite runs in the
-// TSAN CI matrix.
+// refill returning zero while peers hold work), the drain's busy span and
+// watchdog sequence cell, threaded and pool integration with rundown
+// stealing, and cancellation observed mid-batch. The suite runs in the TSAN
+// CI matrix.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -125,16 +125,13 @@ TEST(Dispatcher, EmptyBatchRetireIsANoOp) {
                       {.shards = 1, .workers = 1, .batch = 8});
   ex.start();
 
-  sched::Dispatcher d({/*workers=*/1, /*batch=*/8, true, true});
+  sched::Dispatcher d({.workers = 1, .batch = 8});
   std::vector<Ticket> done;  // empty: nothing to retire on the first trip
-  const sched::RefillOutcome first = d.refill(ex, 0, done);
-  EXPECT_EQ(first.refilled, 4u);
-  EXPECT_FALSE(first.completion.new_work);
+  EXPECT_EQ(d.refill(ex, 0, done), 4u);
 
   // Queue still full, executive dry: a second refill retires nothing and
   // pulls nothing, without disturbing the queued assignments.
-  const sched::RefillOutcome second = d.refill(ex, 0, done);
-  EXPECT_EQ(second.refilled, 0u);
+  EXPECT_EQ(d.refill(ex, 0, done), 0u);
   EXPECT_EQ(d.occupancy(0), 4u);
 }
 
@@ -157,7 +154,7 @@ TEST(Dispatcher, DrainBusySpansEveryBodyAndNoMoreThanTheCall) {
     self += t1 - t0;
   });
 
-  sched::Dispatcher d({/*workers=*/1, /*batch=*/8, true, false});
+  sched::Dispatcher d({.workers = 1, .batch = 8});
   std::vector<Ticket> done;
   sched::BodyLoopStats stats;
   // A drain that pops nothing adds no busy.
@@ -165,7 +162,7 @@ TEST(Dispatcher, DrainBusySpansEveryBodyAndNoMoreThanTheCall) {
   EXPECT_EQ(stats.busy.count(), 0);
   EXPECT_EQ(stats.tasks, 0u);
 
-  ASSERT_EQ(d.refill(ex, 0, done).refilled, 8u);
+  ASSERT_EQ(d.refill(ex, 0, done), 8u);
   const auto c0 = std::chrono::steady_clock::now();
   d.drain_local(bodies, 0, done, stats);
   const auto c1 = std::chrono::steady_clock::now();
@@ -191,7 +188,7 @@ TEST(Dispatcher, BodySequenceIsOddInsideABodyAndEvenAfterTheDrain) {
                       {.shards = 1, .workers = 2, .batch = 8});
   ex.start();
 
-  sched::Dispatcher d({/*workers=*/2, /*batch=*/8, true, false});
+  sched::Dispatcher d({.workers = 2, .batch = 8});
   std::vector<std::uint64_t> seen;
   rt::BodyTable bodies;
   bodies.set(s.p, [&d, &seen](GranuleRange r, WorkerId w) {
@@ -201,7 +198,7 @@ TEST(Dispatcher, BodySequenceIsOddInsideABodyAndEvenAfterTheDrain) {
   EXPECT_EQ(d.body_seq(0), 0u);
 
   std::vector<Ticket> done;
-  ASSERT_EQ(d.refill(ex, 0, done).refilled, 4u);
+  ASSERT_EQ(d.refill(ex, 0, done), 4u);
   sched::BodyLoopStats stats;
   d.drain_local(bodies, 0, done, stats);
   // Owner pops follow the handout order, so granule 3's body runs last:
@@ -223,9 +220,9 @@ TEST(Dispatcher, RefillPreservesExecutiveHandoutOrder) {
                       {.shards = 1, .workers = 1, .batch = 8});
   ex.start();
 
-  sched::Dispatcher d({1, 8, true, false});
+  sched::Dispatcher d({.workers = 1, .batch = 8});
   std::vector<Ticket> done;
-  ASSERT_EQ(d.refill(ex, 0, done).refilled, 3u);
+  ASSERT_EQ(d.refill(ex, 0, done), 3u);
   Assignment a;
   GranuleId expect_lo = 0;
   while (d.pop_local(0, a)) {
@@ -243,17 +240,16 @@ TEST(Dispatcher, StealCoversRefillReturningZeroWhilePeersHoldWork) {
                       {.shards = 1, .workers = 2, .batch = 8});
   ex.start();
 
-  sched::Dispatcher d({/*workers=*/2, /*batch=*/8, true, true});
+  sched::Dispatcher d({.workers = 2, .batch = 8});
   std::vector<Ticket> done0, done1;
   // Worker 0 over-refills: the whole phase lands in its local queue.
-  ASSERT_EQ(d.refill(ex, 0, done0).refilled, 8u);
+  ASSERT_EQ(d.refill(ex, 0, done0), 8u);
   // Worker 1's refill returns zero — the executive is dry — while its peer
   // holds every assignment: the exact situation stealing exists for.
-  const sched::RefillOutcome rr = d.refill(ex, 1, done1);
-  EXPECT_EQ(rr.refilled, 0u);
+  EXPECT_EQ(d.refill(ex, 1, done1), 0u);
   EXPECT_FALSE(ex.work_available());
   EXPECT_FALSE(ex.finished());
-  EXPECT_TRUE(d.stealable_by(1));
+  EXPECT_GT(d.occupancy(0), 0u);
   EXPECT_TRUE(d.any_local_work());
 
   const std::size_t got = d.try_steal(1);
@@ -275,86 +271,6 @@ TEST(Dispatcher, StealCoversRefillReturningZeroWhilePeersHoldWork) {
   EXPECT_TRUE(ex.finished());
   EXPECT_EQ(stats.granules, 8u);
   EXPECT_FALSE(d.any_local_work());
-}
-
-TEST(Dispatcher, StealRateSignalHalvesEffectiveGrain) {
-  SinglePhase s = make_single_phase(64);
-  ExecConfig cfg;
-  cfg.grain = 16;
-  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
-                      {.shards = 1, .workers = 2, .batch = 4});
-  ex.start();
-
-  sched::Dispatcher d({2, 4, true, true});  // window = 16 events
-  std::vector<Ticket> done;
-  ASSERT_GT(d.refill(ex, 0, done).refilled, 1u);
-  EXPECT_EQ(ex.core_unsynchronized().effective_grain(), 16u);
-
-  // Ping-pong one steal per event: a window of pure steals must raise the
-  // grain shift, and the next refill applies it to the core.
-  for (int i = 0; i < 40; ++i) {
-    if (d.try_steal(1) == 0) {
-      ASSERT_GT(d.try_steal(0), 0u);
-    }
-  }
-  EXPECT_GT(d.grain_shift(), 0u);
-  d.refill(ex, 1, done);
-  EXPECT_LT(ex.core_unsynchronized().effective_grain(), 16u);
-  EXPECT_GE(ex.core_unsynchronized().effective_grain(), 1u);
-}
-
-TEST(ExecutiveGrainLimit, ConcurrentPublishIsRaceFree) {
-  // Regression for the grain-limit data race: the steal-rate signal
-  // publishes the limit with NO executive lock held (the sharded refill
-  // path), while the request path reads it inside a control section. Before
-  // the limit became an atomic this was a plain load/store race — TSAN
-  // (which runs this suite in CI) flagged it; now it must be clean, and
-  // every carve must respect *some* published clamp [1, grain].
-  SinglePhase s = make_single_phase(4096);
-  ExecConfig cfg;
-  cfg.grain = 8;
-  ExecutiveCore core(s.prog, cfg);
-  core.start();
-
-  std::atomic<bool> stop{false};
-  std::jthread publisher([&] {
-    GranuleId g = 1;
-    while (!stop.load(std::memory_order_relaxed)) {
-      core.set_grain_limit(g);
-      g = g % 8 + 1;
-      (void)core.effective_grain();
-    }
-  });
-  for (int i = 0; i < 2000; ++i) {
-    const auto a = core.request_work(0);
-    if (!a.has_value()) break;
-    ASSERT_GE(a->range.size(), 1u);
-    ASSERT_LE(a->range.size(), 8u);  // never exceeds the configured grain
-    core.complete(a->ticket);
-  }
-  stop.store(true, std::memory_order_relaxed);
-}
-
-TEST(ExecutiveGrainLimit, ClampsAndResets) {
-  SinglePhase s = make_single_phase(32);
-  ExecConfig cfg;
-  cfg.grain = 8;
-  ExecutiveCore core(s.prog, cfg);
-  EXPECT_EQ(core.configured_grain(), 8u);
-  EXPECT_EQ(core.effective_grain(), 8u);
-  core.set_grain_limit(2);
-  EXPECT_EQ(core.effective_grain(), 2u);
-  core.set_grain_limit(100);  // never exceeds the configured grain
-  EXPECT_EQ(core.effective_grain(), 8u);
-  core.set_grain_limit(2);
-  core.set_grain_limit(0);  // reset
-  EXPECT_EQ(core.effective_grain(), 8u);
-
-  core.start();
-  core.set_grain_limit(2);
-  const auto a = core.request_work(0);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->range.size(), 2u);  // carved at the limit, not the grain
 }
 
 // --- sharded executive front-end (deterministic, single-threaded) ------------
@@ -638,9 +554,9 @@ TEST(Dispatcher, RetireRetiresWithoutPullingWork) {
   ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
                       {.shards = 1, .workers = 1, .batch = 4});
   ex.start();
-  sched::Dispatcher d({1, 4, false, false});
+  sched::Dispatcher d({.workers = 1, .batch = 2});  // local capacity 4
   std::vector<Ticket> done;
-  ASSERT_EQ(d.refill(ex, 0, done).refilled, 4u);
+  ASSERT_EQ(d.refill(ex, 0, done), 4u);
   GranuleId granules = 0;
   Assignment a;
   while (d.pop_local(0, a)) {
@@ -683,7 +599,7 @@ TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
   ShardedExecutive ex(s2.prog, cfg, CostModel::free_of_charge(),
                       {.shards = 1, .workers = 1, .batch = 4});
   ex.start();
-  sched::Dispatcher d({1, 4, false, false});
+  sched::Dispatcher d({.workers = 1, .batch = 2});  // local capacity 4
 
   std::vector<Ticket> done_a, done_b;
   std::vector<Assignment> direct;
@@ -696,8 +612,7 @@ TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
     direct.clear();
     core.request_work_batch(0, d.capacity(), direct);
     const std::uint64_t sections = ex.stats().control_acquisitions;
-    const sched::RefillOutcome rb = d.refill(ex, 0, done_b);
-    EXPECT_EQ(direct.size(), rb.refilled);
+    EXPECT_EQ(direct.size(), d.refill(ex, 0, done_b));
     EXPECT_EQ(ex.stats().control_acquisitions, sections + 1);
     std::vector<std::pair<GranuleId, GranuleId>> seq_a, seq_b;
     for (const Assignment& a : direct) {
@@ -715,7 +630,7 @@ TEST(Dispatcher, SingleShardRefillMatchesDirectCoreProtocol) {
   EXPECT_TRUE(ex.finished());
 }
 
-// --- threaded runtime with stealing on ---------------------------------------
+// --- threaded runtime: rundown stealing --------------------------------------
 
 TEST(RtSteal, TailHeavyRunStealsAndStaysCorrect) {
   // Ramped granule cost: the last refill holds the most expensive work, so
@@ -819,34 +734,6 @@ TEST(PoolSteal, StealsSumAcrossJobsAndStatsStayConsistent) {
   EXPECT_EQ(testing::metric(ps.metrics, "worker.granules"), job_granules);
   EXPECT_EQ(testing::metric(ps.metrics, "worker.steals"), job_steals);
   EXPECT_EQ(testing::metric(ps.metrics, "pool.jobs_completed"), 3u);
-}
-
-TEST(PoolSteal, NoStealPoolSleepsWhilePeerHoldsLocalWork) {
-  // Regression: with stealing off, a job whose only work sits in a pinned
-  // peer's local queue must NOT count as runnable — an adopter could
-  // neither steal nor refill and would busy-spin re-adopting it. The idle
-  // worker has to sleep, so job-lock acquisitions stay small.
-  pool::PoolRuntime pool({.workers = 2, .batch = 4, .steal = false});
-  SinglePhase s = make_single_phase(4);
-  std::atomic<bool> gate{false};
-  std::atomic<bool> started{false};
-  rt::BodyTable bodies;
-  bodies.set(s.p, [&](GranuleRange, WorkerId) {
-    started.store(true, std::memory_order_release);
-    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-  ExecConfig cfg;
-  cfg.grain = 1;  // 4 assignments: the owner's queue stays loaded while pinned
-  pool::JobHandle h = pool.submit(s.prog, bodies, cfg);
-  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // spin window
-  gate.store(true, std::memory_order_release);
-  EXPECT_EQ(h.wait(), pool::JobState::kComplete);
-  pool.shutdown();
-  // A busy-spinning adopter racks up hundreds of thousands of acquisitions
-  // in 50 ms; a sleeping one leaves a handful per worker.
-  EXPECT_LT(testing::metric(pool.stats().metrics, "worker.job_lock_acquisitions"),
-            1000u);
 }
 
 TEST(PoolSteal, CancellationObservedMidBatch) {
