@@ -13,15 +13,13 @@
 // how many processors are busy during the final round — then show the same
 // run with identity overlap, where the tail fills with next-phase work.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pax;
   using namespace pax::bench;
-  JsonReport json = JsonReport::from_args(argc, argv);
   print_banner("F1 — checkerboard rundown at 1024^2 / 1000 processors",
                "524 computations per processor, 288 left over, 712 processors "
                "idle during the tail");
@@ -59,18 +57,6 @@ int main(int argc, char** argv) {
 
   const SimTime p1_done_o = r_o.phase_completion(tp.a);
   const double tail_busy_o = r_o.busy_workers_in(p1_done_o - kTaskTicks, p1_done_o);
-
-  json.set_meta("workers", kWorkers);
-  json.set_meta("granules_per_phase", kGranules);
-  for (const auto* mode : {"barrier", "overlap"}) {
-    const bool b = std::strcmp(mode, "barrier") == 0;
-    const auto& r = b ? r_b : r_o;
-    const std::string config = std::string("workers=1000 mode=") + mode;
-    json.add("f1_rundown", "tail_busy_processors", b ? tail_busy : tail_busy_o,
-             config);
-    json.add("f1_rundown", "makespan", static_cast<double>(r.makespan), config);
-    json.add("f1_rundown", "utilization", r.utilization(), config);
-  }
 
   Table t("F1 — rundown tail (last task round of phase 1)");
   t.header({"quantity", "paper", "barrier run", "overlap run"});

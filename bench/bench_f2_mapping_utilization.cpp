@@ -8,10 +8,9 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pax;
   using namespace pax::bench;
-  JsonReport json = JsonReport::from_args(argc, argv);
   print_banner("F2 — rundown utilization by enablement mapping",
                "overlapping keeps computing resources busy during each "
                "computational rundown (except null mappings)");
@@ -19,8 +18,6 @@ int main(int argc, char** argv) {
   constexpr std::uint32_t kWorkers = 64;
   constexpr GranuleId kGrain = 4;
   constexpr GranuleId kGranules = 768;  // 3 tasks/processor at grain 4
-  json.set_meta("workers", kWorkers);
-  json.set_meta("granules_per_phase", kGranules);
   sim::MachineConfig mc;
   mc.workers = kWorkers;
 
@@ -62,14 +59,6 @@ int main(int argc, char** argv) {
 
     const auto r_b = sim::simulate(tp.program, barrier, CostModel{}, wl, mc);
     const auto r_o = sim::simulate(tp.program, overlap, CostModel{}, wl, mc);
-    const std::string config = std::string("mapping=") + c.label;
-    json.add("f2_mapping", "barrier_tail_utilization",
-             rundown_utilization(r_b, tp.a), config);
-    json.add("f2_mapping", "overlap_tail_utilization",
-             rundown_utilization(r_o, tp.a), config);
-    json.add("f2_mapping", "speedup",
-             static_cast<double>(r_b.makespan) / static_cast<double>(r_o.makespan),
-             config);
     t.row({c.label, Table::pct(rundown_utilization(r_b, tp.a), 1),
            Table::pct(rundown_utilization(r_o, tp.a), 1),
            Table::count(r_b.makespan), Table::count(r_o.makespan),

@@ -10,18 +10,15 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pax;
   using namespace pax::bench;
-  JsonReport json = JsonReport::from_args(argc, argv);
   print_banner("F3 — overlap benefit vs execution-time uncertainty",
                "unpredictable/conditional task times make rundown worse and "
                "dynamic overlap more valuable");
 
   constexpr std::uint32_t kWorkers = 64;
   constexpr GranuleId kGranules = 512;  // 2 tasks/processor at grain 4
-  json.set_meta("workers", kWorkers);
-  json.set_meta("granules_per_phase", kGranules);
 
   struct Case {
     const char* label;
@@ -76,12 +73,6 @@ int main(int argc, char** argv) {
 
     const auto r_b = sim::simulate(tp.program, barrier, CostModel{}, wl, mc);
     const auto r_o = sim::simulate(tp.program, overlap, CostModel{}, wl, mc);
-    const std::string config = std::string("model=") + c.label;
-    json.add("f3_variance", "benefit",
-             1.0 - static_cast<double>(r_o.makespan) /
-                       static_cast<double>(r_b.makespan),
-             config);
-    json.add("f3_variance", "cv", acc.stddev() / acc.mean(), config);
     t.row({c.label, fixed(acc.stddev() / acc.mean(), 2),
            Table::count(r_b.makespan), Table::count(r_o.makespan),
            Table::pct(1.0 - static_cast<double>(r_o.makespan) /

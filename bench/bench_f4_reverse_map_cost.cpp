@@ -16,10 +16,9 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pax;
   using namespace pax::bench;
-  JsonReport json = JsonReport::from_args(argc, argv);
   print_banner("F4 — composite-map cost vs benefit (reverse indirect)",
                "\"extensive composite granule map generation could be self "
                "defeating\" on a worker-stealing testbed; dedicated executive "
@@ -27,8 +26,6 @@ int main(int argc, char** argv) {
 
   constexpr std::uint32_t kWorkers = 48;
   constexpr GranuleId kGranules = 1536;  // 8 tasks/proc at grain 4
-  json.set_meta("workers", kWorkers);
-  json.set_meta("granules_per_phase", kGranules);
 
   sim::PhaseWorkload pw;
   pw.model = sim::DurationModel::kUniform;
@@ -65,14 +62,6 @@ int main(int argc, char** argv) {
         const auto r_o = sim::simulate(tp.program, overlap, CostModel{}, wl, mc);
         const double benefit = 1.0 - static_cast<double>(r_o.makespan) /
                                          static_cast<double>(r_b.makespan);
-        const std::string config =
-            "fan=" + std::to_string(fan) + " placement=" +
-            std::string(to_string(placement)) +
-            " subset=" + (subset == 0 ? "all" : std::to_string(subset));
-        json.add("f4_reverse_map", "benefit", benefit, config);
-        json.add("f4_reverse_map", "map_entries",
-                 static_cast<double>(r_o.ledger.count(MgmtOp::kMapBuildEntry)),
-                 config);
         t.row({std::to_string(fan), to_string(placement),
                subset == 0 ? "all" : std::to_string(subset),
                Table::count(r_b.makespan), Table::count(r_o.makespan),

@@ -29,10 +29,9 @@ pax::sim::SimResult run_casper(const pax::casper::CasperPipeline& pipe,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pax;
   using namespace pax::bench;
-  JsonReport json = JsonReport::from_args(argc, argv);
   print_banner("T4 — end-to-end speedup from phase overlap",
                "overlapping provides additional ready-to-compute work during "
                "each computational rundown, reducing elapsed wall-clock time");
@@ -49,13 +48,6 @@ int main(int argc, char** argv) {
       const auto r_b = run_casper(pipe, false, false, workers);
       const auto r_o = run_casper(pipe, true, false, workers);
       const auto r_e = run_casper(pipe, true, true, workers);
-      const std::string config = "casper workers=" + std::to_string(workers);
-      json.add("t4_speedup", "overlap_speedup",
-               static_cast<double>(r_b.makespan) / static_cast<double>(r_o.makespan),
-               config);
-      json.add("t4_speedup", "overlap_early_speedup",
-               static_cast<double>(r_b.makespan) / static_cast<double>(r_e.makespan),
-               config);
       t.row({std::to_string(workers), Table::count(r_b.makespan),
              Table::count(r_o.makespan), Table::count(r_e.makespan),
              fixed(static_cast<double>(r_b.makespan) /
@@ -100,9 +92,6 @@ int main(int argc, char** argv) {
       const CostModel free = CostModel::free_of_charge();
       const auto r_b = sim::simulate(sp.program, barrier, free, wl, mc);
       const auto r_o = sim::simulate(sp.program, overlap, free, wl, mc);
-      json.add("t4_speedup", "sor_overlap_speedup",
-               static_cast<double>(r_b.makespan) / static_cast<double>(r_o.makespan),
-               "sor workers=" + std::to_string(workers));
       t.row({std::to_string(workers), Table::count(r_b.makespan),
              Table::count(r_o.makespan),
              fixed(static_cast<double>(r_b.makespan) /
@@ -140,10 +129,6 @@ int main(int argc, char** argv) {
       rt::ThreadedRuntime rt_o(pipe.program, overlap, CostModel{}, b2.bodies, {hw});
       const auto res_o = rt_o.run();
 
-      json.add("t4_speedup", "rt_fine_overlap_speedup",
-               static_cast<double>(res_b.wall.count()) /
-                   static_cast<double>(res_o.wall.count()),
-               "casper-fine workers=" + std::to_string(hw));
       t.row({"CASPER fine-grain (mgmt-bound)", std::to_string(hw),
              fixed(static_cast<double>(res_b.wall.count()) / 1e6, 1),
              fixed(static_cast<double>(res_o.wall.count()) / 1e6, 1),
@@ -172,10 +157,6 @@ int main(int argc, char** argv) {
       rt::ThreadedRuntime rt_o(pipe.program, overlap, CostModel{}, b2.bodies, {hw});
       const auto res_o = rt_o.run();
 
-      json.add("t4_speedup", "rt_coarse_overlap_speedup",
-               static_cast<double>(res_b.wall.count()) /
-                   static_cast<double>(res_o.wall.count()),
-               "casper-coarse workers=" + std::to_string(hw));
       t.row({"CASPER coarse (compute-bound)", std::to_string(hw),
              fixed(static_cast<double>(res_b.wall.count()) / 1e6, 1),
              fixed(static_cast<double>(res_o.wall.count()) / 1e6, 1),

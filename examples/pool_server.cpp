@@ -83,10 +83,10 @@ int main(int argc, char** argv) {
   const CasperPipeline pipe = build_casper_pipeline({});
   CasperBodies casper_a = make_casper_bodies(pipe, 60);
   CasperBodies casper_b = make_casper_bodies(pipe, 60);
-  stream.push_back(
-      {"casper", pool.submit(pipe.program, casper_a.bodies, cfg, /*prio=*/1)});
-  stream.push_back(
-      {"casper", pool.submit(pipe.program, casper_b.bodies, cfg, /*prio=*/0)});
+  stream.push_back({"casper", pool.submit(pipe.program, casper_a.bodies, cfg,
+                                          {.priority = 1})});
+  stream.push_back({"casper", pool.submit(pipe.program, casper_b.bodies, cfg,
+                                          {.priority = 0})});
 
   // --- two SOR solves, verified against the sequential solver -------------
   constexpr std::uint32_t kNx = 36, kNy = 36, kSweeps = 12;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
         build_sor_program(*sor_grids.back(), kOmega, kSweeps)));
     stream.push_back({"sor", pool.submit(sor_programs.back()->program,
                                          sor_programs.back()->bodies, sor_cfg,
-                                         /*prio=*/2)});
+                                         {.priority = 2})});
   }
 
   // --- a synthetic job submitted and cancelled before it opens ------------
@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
   doomed.halt();
   rt::BodyTable doomed_bodies;
   doomed_bodies.set(doomed_phase, [](GranuleRange, WorkerId) {});
-  pool::JobHandle cancelled = pool.submit(doomed, doomed_bodies, cfg, /*prio=*/-5);
+  pool::JobHandle cancelled =
+      pool.submit(doomed, doomed_bodies, cfg, {.priority = -5});
   // The cancel races worker adoption by design; a rotating worker may open
   // the job first, in which case it legitimately runs to completion.
   const bool cancel_won = cancelled.cancel();
@@ -144,7 +145,7 @@ int main(int argc, char** argv) {
     ExecConfig buggy_cfg;
     buggy_cfg.grain = 4;
     buggy_cfg.max_granule_retries = 2;
-    faulty = pool.submit(buggy, buggy_bodies, buggy_cfg, /*prio=*/1);
+    faulty = pool.submit(buggy, buggy_bodies, buggy_cfg, {.priority = 1});
   }
 
   // --- wait for the stream and report as jobs land -------------------------

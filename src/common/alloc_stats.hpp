@@ -1,9 +1,10 @@
 // alloc_stats.hpp — opt-in heap-traffic instrumentation.
 //
 // The allocation-free control plane (DESIGN.md §10) is a *measured* claim,
-// not a style rule: bench_t10_alloc gates steady-state heap allocations per
-// granule and tests/test_alloc.cpp asserts a warm executive cycle performs
-// ZERO allocations. Both need to observe the global allocator without
+// not a style rule: tests/test_alloc.cpp asserts a warm executive cycle
+// performs ZERO allocations and holds the sharded and pool warm paths to an
+// allocs-per-granule bar, and bench_stack reports heap.allocs_per_granule.
+// Both need to observe the global allocator without
 // perturbing production binaries, so the counting operator new/delete
 // replacements live behind a macro: exactly one translation unit of an
 // instrumented binary defines PAX_ALLOC_STATS_IMPLEMENT before including

@@ -217,8 +217,9 @@ class PAX_SCOPED_CAPABILITY RankedLock {
 
 /// Annotated try-lock scope guard (std::unique_lock with std::defer_lock,
 /// then try_lock()): constructed unlocked; try_lock() attempts the
-/// acquisition and the destructor releases only what was acquired. Branch on
-/// try_lock() directly so Clang TSA sees which arm holds the mutex.
+/// acquisition, lock() blocks for it, and the destructor releases only what
+/// was acquired. Branch on try_lock() directly so Clang TSA sees which arm
+/// holds the mutex.
 template <class Mutex>
 class PAX_SCOPED_CAPABILITY RankedTryLock {
  public:
@@ -230,6 +231,10 @@ class PAX_SCOPED_CAPABILITY RankedTryLock {
   [[nodiscard]] bool try_lock() PAX_TRY_ACQUIRE(true) {
     owned_ = mu_.try_lock();
     return owned_;
+  }
+  void lock() PAX_ACQUIRE() {
+    mu_.lock();
+    owned_ = true;
   }
 
   RankedTryLock(const RankedTryLock&) = delete;

@@ -498,7 +498,7 @@ CompletionResult ExecutiveCore::complete_batch(std::span<const Ticket> tickets) 
     ++fault_tick_;  // completion batches are the backoff clock
     flush_retries();
   }
-  maybe_finish_stopped();
+  maybe_finish();
   res.new_work = waiting_.size() > waiting_before;
   res.program_finished = finished_;
   return res;
@@ -613,7 +613,7 @@ bool ExecutiveCore::idle_work() {
 void ExecutiveCore::request_stop() {
   if (finished_ || stop_requested_) return;
   stop_requested_ = true;
-  maybe_finish_stopped();
+  maybe_finish();
 }
 
 void ExecutiveCore::abandon(Ticket ticket) {
@@ -630,15 +630,21 @@ void ExecutiveCore::abandon(Ticket ticket) {
   if (d->pending_split != nullptr) force_pending_split(*d);
   release_conflicts(*d);
   retire_desc(*d);
-  maybe_finish_stopped();
+  maybe_finish();
 }
 
-void ExecutiveCore::maybe_finish_stopped() {
-  if (!stop_requested_ || finished_) return;
+void ExecutiveCore::maybe_finish() {
+  if (finished_) return;
   if (assignments_.size() != free_tickets_.size()) return;  // tickets in flight
+  if (!stop_requested_ &&
+      (!std::holds_alternative<HaltNode>(program_.node(pc_)) ||
+       !waiting_.empty() || !retry_queue_.empty()))
+    return;  // the program, or a computation submitted during it, has work
   finished_ = true;
   emit({ExecEvent::Kind::kProgramFinished, kNoRun, kNoPhase, {},
-        faulted_ ? "faulted" : "cancelled"});
+        !stop_requested_ ? std::string_view{}
+        : faulted_       ? std::string_view{"faulted"}
+                         : std::string_view{"cancelled"}});
 }
 
 std::uint32_t ExecutiveCore::bump_fault_attempts(Run& r, GranuleRange range) {
@@ -748,7 +754,7 @@ CompletionResult ExecutiveCore::fail(const GranuleFault& f) {
   if (d->pending_split != nullptr) force_pending_split(*d);
   release_conflicts(*d);
   retire_desc(*d);
-  maybe_finish_stopped();
+  maybe_finish();
   res.new_work = waiting_.size() > waiting_before;
   res.program_finished = finished_;
   return res;
@@ -776,7 +782,7 @@ void ExecutiveCore::submit_conflicting(RunId blocker, PhaseId phase,
 void ExecutiveCore::advance_program() {
   // A stop request freezes the program counter: no further serial nodes,
   // branches, or dispatches run for a cancelled program. finished_ flips
-  // via maybe_finish_stopped() once outstanding tickets drain instead.
+  // via maybe_finish() once outstanding tickets drain instead.
   if (stop_requested_) return;
   while (!finished_) {
     const ProgramNode& n = program_.node(pc_);
@@ -815,8 +821,9 @@ void ExecutiveCore::advance_program() {
       continue;
     }
     PAX_CHECK(std::holds_alternative<HaltNode>(n));
-    finished_ = true;
-    emit({ExecEvent::Kind::kProgramFinished, kNoRun, kNoPhase, {}, {}});
+    // Finished now, unless a conflicting computation submitted during the
+    // run still has work out: then its last retirement finishes it.
+    maybe_finish();
     return;
   }
 }

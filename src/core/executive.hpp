@@ -34,8 +34,8 @@
 // temporary draws on a Workspace of cleared-not-freed scratch buffers owned
 // by the core. What may still allocate: program advance at phase boundaries
 // (first-time slab chunks, run bookkeeping growth), cold map builds, and
-// diagnostics. tests/test_alloc.cpp pins the zero-allocation claim;
-// bench_t10_alloc gates allocs/granule end to end.
+// diagnostics. tests/test_alloc.cpp pins the zero-allocation claim, and
+// bench_stack reports allocs/granule end to end.
 #pragma once
 
 #include <cstddef>
@@ -202,6 +202,8 @@ class ExecutiveCore {
   /// Dynamically submit a computation that conflicts with `blocker`'s run
   /// (the mechanism's original purpose in PAX). The work is held and
   /// released — at elevated priority — when the blocking run completes.
+  /// It is part of the program's work: a program that reaches its halt
+  /// finishes only once every submitted computation has retired too.
   void submit_conflicting(RunId blocker, PhaseId phase, GranuleRange range);
 
   /// Cooperative mid-run stop (job cancellation). After this call the core
@@ -370,10 +372,13 @@ class ExecutiveCore {
   void run_serial(std::uint32_t node_index, const SerialNode& s);
   void emit(const ExecEvent& ev);
   void diagnose(std::string msg);
-  /// After a stop request, flip finished() once every ticket has retired
-  /// (completion or abandonment). The kProgramFinished event fires exactly
-  /// once, from whichever retirement drains the last outstanding ticket.
-  void maybe_finish_stopped();
+  /// Flip finished() once the program is done: after a stop request, when
+  /// every ticket has retired (completion or abandonment); at the halt
+  /// node, when in addition no submitted conflicting computation is left
+  /// waiting or parked for retry. So a finished core has retired every
+  /// ticket. The kProgramFinished event fires exactly once, from whichever
+  /// step leaves nothing outstanding.
+  void maybe_finish();
   /// Record the fault in the ledger of firsts and bump counters (cold path —
   /// may allocate for per-run attempt tables).
   std::uint32_t bump_fault_attempts(Run& r, GranuleRange range);

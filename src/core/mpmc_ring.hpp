@@ -24,7 +24,7 @@
 //
 // Memory discipline (DESIGN.md §10): the cell array is allocated once at
 // construction and never grows; try_push/try_pop are loads, CASes and stores,
-// full stop — the t10 zero-alloc warm-window gate holds through this ring.
+// full stop — test_alloc's two-shard warm window runs through this ring.
 // Census accounting stays OUTSIDE the ring (the executive's relaxed
 // ready_/deposited_ atomics); the ring only exposes its cursors (pushed()/
 // popped()) so check_census can cross-validate occupancy at quiescence.

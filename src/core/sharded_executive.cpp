@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 
 #include "common/check.hpp"
 
@@ -23,32 +24,62 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// Times one control-plane visit into the stats counters (relaxed: the
-/// counters are read by unlocked snapshots, never used for synchronization).
-/// Constructed BEFORE the mutex is taken: the span covers acquisition wait
-/// plus hold, i.e. the serialization a worker actually experiences at the
+/// One control-plane section: the control mutex plus its timer, so the
+/// section's count and span land in the stats BEFORE the mutex is released
+/// (the destructor body adds them; the RankedTryLock member unlocks after
+/// it). A thread that passes through the mutex after finished() reads true
+/// therefore sees every section counted (ShardedExecutive::stats()). The
+/// span starts before the mutex is taken: it covers acquisition wait plus
+/// hold, i.e. the serialization a worker actually experiences at the
 /// control plane — the quantity sharding exists to remove (a pure-hold
-/// measure would credit neither queueing nor cache bouncing). A refused
-/// try-lock dismisses the timer and counts as control_busy instead.
-class ControlTimer {
+/// measure would credit neither queueing nor cache bouncing). Relaxed adds:
+/// the counters are read by unlocked snapshots, never used for
+/// synchronization. A section that finds the program already finished
+/// leaves uncounted (skip_if()); a refused try_lock() counts as
+/// control_busy.
+class PAX_SCOPED_CAPABILITY ControlSection {
  public:
-  explicit ControlTimer(ShardStats& stats) : stats_(stats), t0_(now_ns()) {}
-  ~ControlTimer() {
-    if (dismissed_) return;
+  using Mutex = RankedMutex<LockRank::kControl>;
+
+  /// Blocking entry.
+  ControlSection(Mutex& mu, ShardStats& stats) PAX_ACQUIRE(mu)
+      : stats_(stats), t0_(now_ns()), lock_(mu) {
+    lock_.lock();
+    counted_ = true;
+  }
+  /// Deferred entry: the section starts unlocked; try_lock() enters it.
+  ControlSection(Mutex& mu, ShardStats& stats, std::defer_lock_t)
+      PAX_EXCLUDES(mu)
+      : stats_(stats), t0_(now_ns()), lock_(mu) {}
+
+  ~ControlSection() PAX_RELEASE() {
+    if (!counted_) return;
     stats_.control_acquisitions.fetch_add(1, std::memory_order_relaxed);
     stats_.control_hold_ns.fetch_add(now_ns() - t0_, std::memory_order_relaxed);
   }
-  void dismiss() {
-    dismissed_ = true;
-    stats_.control_busy.fetch_add(1, std::memory_order_relaxed);
+
+  [[nodiscard]] bool try_lock() PAX_TRY_ACQUIRE(true) {
+    counted_ = lock_.try_lock();
+    if (!counted_) stats_.control_busy.fetch_add(1, std::memory_order_relaxed);
+    return counted_;
   }
-  ControlTimer(const ControlTimer&) = delete;
-  ControlTimer& operator=(const ControlTimer&) = delete;
+
+  /// Leave uncounted when `finished`: the section was entered after a
+  /// peer's section finished the program, so it has nothing to retire or
+  /// hand out. Returns `finished`.
+  [[nodiscard]] bool skip_if(bool finished) {
+    if (finished) counted_ = false;
+    return finished;
+  }
+
+  ControlSection(const ControlSection&) = delete;
+  ControlSection& operator=(const ControlSection&) = delete;
 
  private:
   ShardStats& stats_;
   std::uint64_t t0_;
-  bool dismissed_ = false;
+  bool counted_ = false;  ///< entered, and not skipped
+  RankedTryLock<Mutex> lock_;
 };
 
 }  // namespace
@@ -92,7 +123,7 @@ ShardedExecutive::ShardedExecutive(const PhaseProgram& program,
     auto shard = std::make_unique<Shard>();
     // The ready ring holds one scatter depth, the deposit ring the
     // worst-case outstanding tickets. Allocated here, once — the warm path
-    // never allocates (t10).
+    // never allocates (WarmAlloc.TwoShardAcquireWindowStaysUnderTheBar).
     shard->ready_ring = std::make_unique<MpmcRing<Assignment>>(depth_);
     shard->deposit_ring = std::make_unique<MpmcRing<Ticket>>(
         std::max<std::size_t>(flush_, max_outstanding));
@@ -134,8 +165,7 @@ void ShardedExecutive::publish_core_census() {
 
 void ShardedExecutive::start() {
   {
-    ControlTimer timer(stats_);
-    RankedLock lock(control_mu_);
+    ControlSection section(control_mu_, stats_);
     core_.start();
     publish_core_census();
   }
@@ -238,6 +268,7 @@ void ShardedExecutive::sweep_locked(ShardAcquire& res, WorkerId w,
   // Only drained tickets leave the deposit census; `direct` tickets (refused
   // by a full deposit ring) never entered it.
   const std::size_t drained = sweep_tickets_.size();
+  if (drained > 0) stats_.deposits.fetch_add(drained, std::memory_order_relaxed);
   if (direct != nullptr && !direct->empty()) {
     sweep_tickets_.insert(sweep_tickets_.end(), direct->begin(), direct->end());
     direct->clear();
@@ -342,7 +373,6 @@ ShardAcquire ShardedExecutive::acquire_sharded(WorkerId w, std::size_t max_n,
                                std::memory_order_relaxed);
       deposited_.fetch_add(static_cast<std::int64_t>(pushed),
                            std::memory_order_relaxed);
-      stats_.deposits.fetch_add(pushed, std::memory_order_relaxed);
       done.erase(done.begin(), done.begin() + static_cast<std::ptrdiff_t>(pushed));
       trace_event(w, obs::TraceKind::kDepositFlush,
                   static_cast<std::uint32_t>(pushed));
@@ -383,8 +413,7 @@ ShardAcquire ShardedExecutive::acquire_sharded(WorkerId w, std::size_t max_n,
     // Refused deposits must retire in this call (`done` is consumed on
     // return), so this is the one sharded entry that waits its turn.
     {
-      ControlTimer timer(stats_);
-      RankedLock lock(control_mu_);
+      ControlSection section(control_mu_, stats_);
       sweep_locked(res, w, max_n, out, &done);
     }
   } else {
@@ -393,17 +422,16 @@ ShardAcquire ShardedExecutive::acquire_sharded(WorkerId w, std::size_t max_n,
     // deposits are already in a ring, so deposited_ > 0 keeps
     // work_available() true and it cannot sleep past them — the next
     // acquire retires them.
-    ControlTimer timer(stats_);
-    RankedTryLock lock(control_mu_);
-    if (!lock.try_lock()) {
-      timer.dismiss();
+    ControlSection section(control_mu_, stats_, std::defer_lock);
+    if (!section.try_lock()) {
       if (max_n > 0) (void)probe_rings(w, max_n, out, res);
       return res;
     }
+    if (section.skip_if(core_.finished())) return res;
     sweep_locked(res, w, max_n, out, nullptr);
   }
   // Emitted after the section ends so the record's clock read never lands
-  // inside the timed hold span (the t11 overhead gate).
+  // inside the timed hold span (bench_stack's trace.overhead_frac).
   trace_event(w, obs::TraceKind::kShardSweep,
               static_cast<std::uint32_t>(res.retired));
   return res;
@@ -446,6 +474,14 @@ ShardAcquire ShardedExecutive::acquire(WorkerId w, std::size_t max_n,
     PAX_CHECK_MSG(done.empty(), "finished tickets before start");
     return res;
   }
+  // A finished executive has retired every ticket: nothing is left to
+  // retire or hand out, and no section may count once finished() reads
+  // true (stats()). A caller that passed this check just before the flip
+  // finds the core finished inside its section and leaves uncounted.
+  if (finished()) {
+    PAX_DCHECK(done.empty());
+    return res;
+  }
 
   // Stop drain path (any shard count): never hand out work; retire the
   // caller's in-flight tickets (as `direct` — they were never deposited)
@@ -459,8 +495,8 @@ ShardAcquire ShardedExecutive::acquire(WorkerId w, std::size_t max_n,
         ready_.load(std::memory_order_relaxed) > 0 ||
         spill_n_.load(std::memory_order_relaxed) > 0) {
       {
-        ControlTimer timer(stats_);
-        RankedLock lock(control_mu_);
+        ControlSection section(control_mu_, stats_);
+        if (section.skip_if(core_.finished())) return res;
         sweep_locked(res, w, /*max_n=*/0, out,
                      done.empty() ? nullptr : &done);
       }
@@ -474,8 +510,9 @@ ShardAcquire ShardedExecutive::acquire(WorkerId w, std::size_t max_n,
     // Single shard: the PR 3 protocol verbatim — one control section that
     // retires the worker's batch and refills it. No ring is touched.
     {
-      ControlTimer timer(stats_);
-      RankedLock lock(control_mu_);
+      ControlSection section(control_mu_, stats_);
+      // Queued on the mutex while a peer's section finished the program.
+      if (section.skip_if(core_.finished())) return res;
       if (!done.empty()) {
         res.retired = done.size();
         const CompletionResult cr = core_.complete_batch(done);
@@ -487,7 +524,7 @@ ShardAcquire ShardedExecutive::acquire(WorkerId w, std::size_t max_n,
       res.swept = true;
     }
     // Trace AFTER the control section so the record's clock read never
-    // lands inside the timed hold span (the t11 overhead gate).
+    // lands inside the timed hold span (bench_stack's trace.overhead_frac).
     trace_event(w, obs::TraceKind::kShardSweep,
                 static_cast<std::uint32_t>(res.retired));
     return res;
@@ -509,8 +546,8 @@ void ShardedExecutive::trace_event(WorkerId w, obs::TraceKind kind,
 }
 
 bool ShardedExecutive::idle_work() {
-  ControlTimer timer(stats_);
-  RankedLock lock(control_mu_);
+  ControlSection section(control_mu_, stats_);
+  if (section.skip_if(core_.finished())) return false;
   const bool did = core_.idle_work();
   publish_core_census();
   return did;
@@ -518,8 +555,7 @@ bool ShardedExecutive::idle_work() {
 
 void ShardedExecutive::submit_conflicting(RunId blocker, PhaseId phase,
                                           GranuleRange range) {
-  ControlTimer timer(stats_);
-  RankedLock lock(control_mu_);
+  ControlSection section(control_mu_, stats_);
   core_.submit_conflicting(blocker, phase, range);
   publish_core_census();
 }
@@ -550,11 +586,13 @@ void ShardedExecutive::recall_abandon_locked() {
 }
 
 void ShardedExecutive::request_stop() {
-  // The exchange makes the call idempotent and is the release edge the
-  // acquire() drain path pairs with.
-  if (stop_requested_.exchange(true, std::memory_order_acq_rel)) return;
-  ControlTimer timer(stats_);
-  RankedLock lock(control_mu_);
+  // A finished executive has nothing left to stop. The exchange makes the
+  // call idempotent and is the release edge the acquire() drain path pairs
+  // with.
+  if (finished() || stop_requested_.exchange(true, std::memory_order_acq_rel))
+    return;
+  ControlSection section(control_mu_, stats_);
+  if (section.skip_if(core_.finished())) return;
   core_.request_stop();
   recall_abandon_locked();
   publish_core_census();
@@ -567,8 +605,7 @@ ShardAcquire ShardedExecutive::fail_batch(WorkerId w,
   std::uint64_t retries_before = 0, retries_after = 0;
   std::uint64_t poisoned_before = 0, poisoned_after = 0;
   {
-    ControlTimer timer(stats_);
-    RankedLock lock(control_mu_);
+    ControlSection section(control_mu_, stats_);
     retries_before = core_.fault_stats().retries;
     poisoned_before = core_.fault_stats().poisoned;
     for (const GranuleFault& f : faults) {

@@ -44,8 +44,8 @@
 //
 // With shards == 1 the layer short-circuits to the PR 3 protocol — every
 // acquire is one control section doing complete_batch + request_work_batch,
-// no ring touched — which is how bench_t9_shard baselines it and why
-// `shards = 1` reproduces the prior behavior exactly.
+// no ring touched — which is why `shards = 1` reproduces the prior behavior
+// exactly (RtBatchedHandoff.FewerLockAcquisitionsSameWork runs both).
 //
 // Elevated priority: the core pops elevated work first, but shard buffers
 // could hide an elevated release behind already-carved normal work. The
@@ -134,7 +134,9 @@ struct ShardStats {
   std::atomic<std::uint64_t> shard_hits{0};      ///< acquires served by home shard
   std::atomic<std::uint64_t> sibling_hits{0};    ///< ... by a sibling shard
   std::atomic<std::uint64_t> scattered{0};       ///< assignments pushed to shards
-  std::atomic<std::uint64_t> deposits{0};        ///< tickets parked in shards
+  /// Tickets parked in shards, counted as a sweep drains them (so under the
+  /// control mutex, like every count stats() promises final).
+  std::atomic<std::uint64_t> deposits{0};
   std::atomic<std::uint64_t> ring_pops{0};       ///< assignments popped lock-free
   std::atomic<std::uint64_t> ring_pop_empty{0};  ///< probes that found a hinted ring dry
   std::atomic<std::uint64_t> ring_push_full{0};  ///< pushes refused by a full ring
@@ -186,7 +188,8 @@ class ShardedExecutive {
   ///      control_busy) — its deposits are already in a ring, so
   ///      work_available() stays true until a sweep retires them. Only a
   ///      deposit overflow (tickets that must retire in this call) waits.
-  /// Returns what happened; `out` is appended in handout order.
+  /// Returns what happened; `out` is appended in handout order. Returns at
+  /// once on a finished executive: it has retired every ticket.
   ShardAcquire acquire(WorkerId w, std::size_t max_n, std::vector<Ticket>& done,
                        std::vector<Assignment>& out) PAX_EXCLUDES(control_mu_);
 
@@ -210,7 +213,8 @@ class ShardedExecutive {
   /// Snapshot of the core's failure accounting (control section; cold).
   [[nodiscard]] FaultStats fault_stats() const PAX_EXCLUDES(control_mu_);
 
-  /// Executive idle-time work (control section). True if something was done.
+  /// Executive idle-time work (control section). True if something was
+  /// done; a finished executive does nothing.
   bool idle_work() PAX_EXCLUDES(control_mu_);
 
   /// Thread-safe conflicting-computation submission (control section).
@@ -225,6 +229,7 @@ class ShardedExecutive {
   /// their deposits retire through normal sweeps, and finished() flips once
   /// the last outstanding ticket drains. Idempotent. Safe before start():
   /// the core finishes immediately and a later start() runs no program node.
+  /// A no-op on a finished executive.
   void request_stop() PAX_EXCLUDES(control_mu_);
   [[nodiscard]] bool stop_requested() const {
     // Relaxed: a heuristic gate, same contract as the census probes — the
@@ -273,6 +278,16 @@ class ShardedExecutive {
     return work_available() || has_idle_work();
   }
 
+  /// Relaxed snapshot of the counters; callable any time. Final once
+  /// finished() reads true and the reader has since passed through the
+  /// control mutex (fault_stats() does, which is how the pool's finalize
+  /// fold reads it): every section adds its count and hold time before it
+  /// releases the mutex, and a section entered after the program finished
+  /// leaves uncounted, as do acquire(), idle_work() and request_stop() on a
+  /// finished executive. The tallies a worker adds on the ring path outside
+  /// the mutex (control_busy, ring_pop_empty, ring_cas_retries) may still
+  /// grow by one per worker that was already past its finished() check;
+  /// with one shard no ring is touched and all three stay 0.
   [[nodiscard]] ShardStatsView stats() const;
 
   /// The wrapped core, for driver setup (observer, ledger) and post-run

@@ -12,7 +12,7 @@
 //   * run opened→completed pairs on the control track become run-lane spans;
 //   * a global "rundown t90" marker is placed where cumulative executed
 //     granules cross 90% of the total — the window the paper's figures and
-//     the t8/t9 gates measure.
+//     bench_stack's tail_util measure.
 //
 // Export runs post-quiescence (after join), off the hot path; it is the one
 // obs component allowed to allocate freely.
@@ -35,7 +35,9 @@ namespace pax::obs {
 /// runtime's own per-worker busy accounting *exactly*, because the dispatch
 /// layer chains the stamps within a drain (each exec-begin is the previous
 /// exec-end, or the drain's start), so the records tile the drain span it
-/// adds to busy — the identity bench_t11_trace and test_obs check.
+/// adds to busy — the identity test_obs checks
+/// (ThreadedTracing.BusyAndGranuleIdentitiesAtZeroDrops,
+/// PoolTracing.JobLifecycleAndGranuleIdentities).
 [[nodiscard]] std::vector<std::uint64_t> busy_ns_by_worker(
     const TraceBuffer& buf);
 

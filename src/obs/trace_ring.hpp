@@ -10,8 +10,8 @@
 //
 //   * memory (DESIGN.md §10): the buffer is allocated once at construction
 //     and never grows — emitting a record is a store, full stop. Warm-window
-//     heap traffic with tracing enabled stays exactly zero (bench_t11_trace
-//     gates it).
+//     heap traffic with tracing enabled stays exactly zero
+//     (ZeroAlloc.TraceEmitsAndMetricCellsAllocateNothing in test_alloc).
 //   * concurrency (DESIGN.md §11): each ring has exactly one writer — the
 //     owning worker (the control-track ring is written only under the
 //     executive control mutex, which serializes its writers). Readers run

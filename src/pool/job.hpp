@@ -158,8 +158,6 @@ struct Job {
   /// deposits, or pending idle work). Relaxed: a stale probe costs one
   /// rotation; the wake path through the pool mutex carries the ordering.
   std::atomic<bool> core_runnable{false};
-  /// Relaxed monotonic progress counter (observability only).
-  std::atomic<std::uint64_t> granules_done{0};
 
   // --- residency rule (DESIGN.md §7) ---------------------------------------
   /// Workers resident on this job: +1 at adoption and -1 at release, both
@@ -299,10 +297,9 @@ struct Job {
     return shed_resident();
   }
 
-  /// The policy comparator's snapshot of this job (cheap atomic probes).
+  /// The policy comparator's view of this job (fixed at submit).
   [[nodiscard]] JobView view() const {
-    return {id, priority, granules_done.load(std::memory_order_relaxed),
-            deadline_view_ns()};
+    return {id, priority, deadline_view_ns()};
   }
 
   [[nodiscard]] bool has_deadline() const { return deadline != kNoDeadlineTp; }

@@ -52,11 +52,6 @@ PoolRuntime::~PoolRuntime() { shutdown(); }
 JobHandle PoolRuntime::submit(const PhaseProgram& program,
                               const rt::BodyTable& bodies, ExecConfig config,
                               const SubmitOptions& opts) {
-  // A per-job shard override must agree with an explicit pool-level count:
-  // the pool's home-shard geometry is shared machinery, not a per-job knob.
-  PAX_CHECK_MSG(opts.shards == kAutoShards || config_.shards == kAutoShards ||
-                    opts.shards == config_.shards,
-                "job shard count mismatches the pool's shard configuration");
   // Resolve the relative deadline against the submit instant before any
   // setup work, so executive construction time counts against the budget.
   const auto deadline_tp =
@@ -78,7 +73,7 @@ std::shared_ptr<detail::Job> PoolRuntime::make_job(
     const rt::BodyTable& bodies, ExecConfig config, const SubmitOptions& opts,
     std::chrono::steady_clock::time_point deadline) {
   const ShardConfig shard_config{
-      .shards = opts.shards != kAutoShards ? opts.shards : c.shards,
+      .shards = c.shards,
       .workers = c.workers,
       .batch = c.batch,
       .trace = c.trace,
@@ -336,7 +331,6 @@ void PoolRuntime::worker_main(WorkerId id) {
         job->stats.granules += delta.granules;
         job->stats.busy += delta.busy;
         job->stats.steals += steal_delta;
-        job->granules_done.fetch_add(delta.granules, std::memory_order_relaxed);
         delta = {};
         steal_delta = 0;
         cap = job->judge_cap_locked();

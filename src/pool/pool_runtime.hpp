@@ -70,8 +70,7 @@ struct PoolConfig {
   /// Executive shards per job (lock-free granule-handout partitions; see
   /// core/sharded_executive.hpp). kAutoShards = 2x workers clamped per job;
   /// 1 = the per-job single-mutex protocol; 0 is invalid and fails at
-  /// pool construction. A per-job override passed to submit() must agree
-  /// with an explicit pool-level value.
+  /// pool construction.
   std::uint32_t shards = kAutoShards;
   /// Admission control: maximum number of non-terminal jobs the pool holds
   /// at once (queued + running). 0 = unbounded (the batch default). When the
@@ -113,10 +112,6 @@ class PoolRuntime {
     /// killing the job.
     std::chrono::nanoseconds deadline{0};
     CostModel costs{};
-    /// Overrides the pool-level executive shard count for this job
-    /// (kAutoShards = inherit); an override that disagrees with an explicit
-    /// pool-level count fails at submit time.
-    std::uint32_t shards = kAutoShards;
     /// Stuck-granule bound (DESIGN.md §15); <= 0 = none. When a single body
     /// invocation of this job runs longer than this, the pool's watchdog
     /// thread flags the job and escalates through the stop/recall machinery:
@@ -126,25 +121,15 @@ class PoolRuntime {
     std::chrono::nanoseconds granule_timeout{0};
   };
 
-  /// Submit a program for execution. `program` and `bodies` are borrowed
-  /// until the returned handle reports done(). Thread-safe; callable from
-  /// inside phase bodies (they run with no executive lock held).
-  /// Non-blocking: under admission control (PoolConfig::max_pending) an
-  /// over-budget submit returns immediately with a handle already in
-  /// JobState::kRejected instead of queueing or blocking.
+  /// Submit a program for execution (`{}` options: a plain batch job).
+  /// `program` and `bodies` are borrowed until the returned handle reports
+  /// done(). Thread-safe; callable from inside phase bodies (they run with
+  /// no executive lock held). Non-blocking: under admission control
+  /// (PoolConfig::max_pending) an over-budget submit returns immediately
+  /// with a handle already in JobState::kRejected instead of queueing or
+  /// blocking.
   JobHandle submit(const PhaseProgram& program, const rt::BodyTable& bodies,
                    ExecConfig config, const SubmitOptions& opts);
-
-  /// Legacy positional overload (batch callers).
-  JobHandle submit(const PhaseProgram& program, const rt::BodyTable& bodies,
-                   ExecConfig config, int priority = 0, CostModel costs = {},
-                   std::uint32_t shards = kAutoShards) {
-    return submit(program, bodies, config,
-                  SubmitOptions{.priority = priority,
-                                .deadline = std::chrono::nanoseconds{0},
-                                .costs = costs,
-                                .shards = shards});
-  }
 
   /// Block until every submitted job has completed or been cancelled.
   void drain();

@@ -7,7 +7,7 @@
 // are relaxed per-worker atomics, JobStats fields are guarded by the job
 // mutex. test_pool asserts the per-job sums equal the worker totals.
 // Per-job busy time against a solo-run baseline is the work-inflation
-// measure of Acar/Charguéraud/Rainey that bench_t7_pool reports.
+// measure of Acar/Charguéraud/Rainey (bench_stack's body.inflation).
 //
 // Pool-wide figures live in PoolStats::metrics under dotted names (the
 // worker cells plus the pool plane: pool.*, fault.*, exec.*, shard.*);

@@ -16,17 +16,15 @@
 namespace pax::pool {
 
 enum class SchedPolicy : std::uint8_t {
-  kFifo,       ///< submission order (lowest job id first)
-  kPriority,   ///< highest submit-time priority, fifo within a priority
-  kFairShare,  ///< fewest granules executed so far, fifo on ties
-  kDeadline,   ///< earliest absolute deadline first (EDF), no-deadline last
+  kFifo,      ///< submission order (lowest job id first)
+  kPriority,  ///< highest submit-time priority, fifo within a priority
+  kDeadline,  ///< earliest absolute deadline first (EDF), no-deadline last
 };
 
 [[nodiscard]] inline const char* to_string(SchedPolicy p) {
   switch (p) {
     case SchedPolicy::kFifo: return "fifo";
     case SchedPolicy::kPriority: return "priority";
-    case SchedPolicy::kFairShare: return "fair-share";
     case SchedPolicy::kDeadline: return "deadline";
   }
   return "?";
@@ -37,12 +35,11 @@ enum class SchedPolicy : std::uint8_t {
 inline constexpr std::int64_t kNoDeadline =
     std::numeric_limits<std::int64_t>::max();
 
-/// Scheduling-relevant snapshot of a runnable job, read from cheap atomic
-/// probes (no job lock taken during the pick).
+/// Scheduling-relevant view of a runnable job: every field is fixed at
+/// submit, so the pick reads it without the job lock.
 struct JobView {
-  std::uint64_t id = 0;         ///< submission order, dense from 0
-  int priority = 0;             ///< larger = more urgent
-  std::uint64_t granules = 0;   ///< granules executed so far
+  std::uint64_t id = 0;  ///< submission order, dense from 0
+  int priority = 0;      ///< larger = more urgent
   /// Absolute deadline (steady-clock ns since epoch); kNoDeadline = none.
   std::int64_t deadline_ns = kNoDeadline;
 };
@@ -56,9 +53,6 @@ struct JobView {
       break;
     case SchedPolicy::kPriority:
       if (a.priority != b.priority) return a.priority > b.priority;
-      break;
-    case SchedPolicy::kFairShare:
-      if (a.granules != b.granules) return a.granules < b.granules;
       break;
     case SchedPolicy::kDeadline:
       if (a.deadline_ns != b.deadline_ns) return a.deadline_ns < b.deadline_ns;

@@ -94,18 +94,14 @@ RtResult ThreadedRuntime::run() {
   res.diagnostics = exec.core_unsynchronized().diagnostics();
 
   // The pool's snapshot (worker cells and the pool-plane values of its one
-  // job). The executive's entries are read here, after shutdown, because
-  // the pool's finalize fold can miss a control section still in flight at
-  // the terminal flip; heap.* is run()'s own traffic. shard.sibling_hits,
-  // shard.scattered and shard.count have no pool entry and are added.
+  // job, whose executive counters its finalize fold read final). The three
+  // ring-path tallies are re-read here, after shutdown, because they may
+  // still move after that fold (ShardedExecutive::stats()); heap.* is
+  // run()'s own traffic. shard.sibling_hits, shard.scattered and
+  // shard.count have no pool entry and are added.
   res.metrics = std::move(ps.metrics);
-  res.metrics.set("exec.control_acquisitions", ss.control_acquisitions);
-  res.metrics.set("exec.control_hold_ns", ss.control_hold_ns);
   res.metrics.set("exec.control_busy", ss.control_busy);
-  res.metrics.set("shard.hits", ss.shard_hits + ss.sibling_hits);
-  res.metrics.set("shard.ring.pop", ss.ring_pops);
   res.metrics.set("shard.ring.pop_empty", ss.ring_pop_empty);
-  res.metrics.set("shard.ring.push_full", ss.ring_push_full);
   res.metrics.set("shard.ring.cas_retries", ss.ring_cas_retries);
   res.metrics.set("heap.allocs", heap.allocs);
   res.metrics.set("heap.bytes", heap.bytes);

@@ -99,7 +99,8 @@ void Dispatcher::drain_local(const rt::BodyTable& bodies, WorkerId w,
     seq_cell.store(++seq, std::memory_order_relaxed);
     if (ring != nullptr) {
       // Both records are emitted after the body, so tracing never runs
-      // inside it; bench_t11 and test_obs pin the busy identity.
+      // inside it; test_obs pins the busy identity
+      // (ThreadedTracing.BusyAndGranuleIdentitiesAtZeroDrops).
       const std::uint64_t begin = stamp;
       stamp = obs::trace_now_ns();
       obs::TraceRecord r;

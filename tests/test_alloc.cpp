@@ -3,15 +3,18 @@
 // This binary defines PAX_ALLOC_STATS_IMPLEMENT, so the global operator
 // new/delete are the counting hooks of common/alloc_stats.hpp and a warm
 // executive cycle can be asserted to perform literally ZERO heap
-// allocations — the deterministic single-threaded pin behind the
-// bench_t10_alloc gate. Alongside it: unit tests for the arena/slab layer,
-// the live-table iteration fix in the executive teardown/completion paths,
-// and the sharded executive's reusable census-lock staging.
+// allocations. The warm paths the hooks pin: the core's request/complete
+// cycle, the two-shard acquire protocol, the trace-ring and metric-cell
+// emit path, and a pool's marginal cost per extra granule. Alongside them:
+// unit tests for the arena/slab layer, the live-table iteration fix in the
+// executive teardown/completion paths, and the sharded executive's
+// reusable census-lock staging.
 #define PAX_ALLOC_STATS_IMPLEMENT
 #include "common/alloc_stats.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -19,6 +22,9 @@
 #include "common/arena.hpp"
 #include "core/executive.hpp"
 #include "core/sharded_executive.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace_ring.hpp"
+#include "pool/pool_runtime.hpp"
 
 namespace pax {
 namespace {
@@ -170,7 +176,7 @@ int pump(ExecutiveCore& core, std::vector<Assignment>& out,
 }
 
 TEST(ZeroAlloc, WarmIdentitySteadyStateAllocatesNothing) {
-  // The t10 pin: once the executive's structures reach their high-water mark,
+  // Once the executive's structures reach their high-water mark,
   // N further request_work_batch/complete_batch cycles perform ZERO heap
   // allocations — not "few", zero. Identity mapping exercises enqueue,
   // merge-on-enqueue, conflict release, carving and ticket recycling.
@@ -252,6 +258,184 @@ TEST(ZeroAlloc, WarmReverseIndirectSteadyStateAllocatesNothing) {
   }
   EXPECT_TRUE(core.finished());
   EXPECT_EQ(core.live_descriptors(), 0u);
+}
+
+// --- the warm-window bar -----------------------------------------------------
+
+/// Heap allocations per granule the control plane made in a warm window
+/// before the arena rework (DESIGN.md §10), on the scattered reverse-
+/// indirect workload below; the warm paths must stay 10x under it.
+constexpr double kPreReworkAllocsPerGranule = 0.123;
+constexpr double kWarmAllocBar = kPreReworkAllocsPerGranule / 10.0;
+
+/// Two phases bridged by a scattered reverse-indirect map (fan 3), map
+/// built eagerly, grain 16: the workload the pre-rework figure was taken
+/// on.
+PhaseProgram scattered_reverse_program() {
+  const GranuleId n = 200000;
+  PhaseProgram prog;
+  prog.define_phase(make_phase("a", n).writes("X"));
+  prog.define_phase(make_phase("b", n).reads("X").writes("Y"));
+  EnableClause clause{"b", MappingKind::kReverseIndirect, {}};
+  clause.indirection.requires_of = [n](GranuleId r, std::vector<GranuleId>& out) {
+    out.insert(out.end(), {r, (r * 7 + 3) % n, (r * 13 + 11) % n});
+  };
+  prog.dispatch(0, {clause});
+  prog.dispatch(1);
+  prog.halt();
+  return prog;
+}
+
+TEST(WarmAlloc, TwoShardAcquireWindowStaysUnderTheBar) {
+  // One thread plays the worker protocol against two shards, so the rings
+  // themselves — pops, deposit pushes, sweeps, spill — are the measured
+  // path. The window opens after 500 acquires (map build, pool and
+  // range-set high-water growth), as the pre-rework figure's did.
+  const PhaseProgram prog = scattered_reverse_program();
+  ExecConfig cfg;
+  cfg.grain = 16;
+  cfg.defer_map_build = false;
+  ShardedExecutive exec(prog, cfg, CostModel::free_of_charge(),
+                        {.shards = 2, .workers = 2, .batch = 16});
+  exec.start();
+
+  std::vector<Assignment> out;
+  out.reserve(64);
+  std::vector<Ticket> done;
+  done.reserve(64);
+  std::uint64_t allocs = 0, granules = 0;
+  int cycles = 0, dry = 0;
+  while (!exec.finished() && dry < 10000) {
+    out.clear();
+    const AllocTotals t0 = alloc_stats::thread_totals();
+    const ShardAcquire r = exec.acquire(0, 16, done, out);
+    // acquire() consumed `done`; this cycle's tickets retire in the next.
+    done.clear();
+    for (const Assignment& a : out) done.push_back(a.ticket);
+    if (++cycles > 500) {
+      allocs += alloc_stats::delta(t0, alloc_stats::thread_totals()).allocs;
+      for (const Assignment& a : out) granules += a.range.size();
+    }
+    dry = r.taken == 0 ? dry + 1 : 0;
+  }
+  out.clear();
+  exec.acquire(0, 0, done, out);  // retire the final batch
+  ASSERT_TRUE(exec.finished());
+  ASSERT_GT(granules, 0u);
+  const double per_granule =
+      static_cast<double>(allocs) / static_cast<double>(granules);
+  EXPECT_LE(per_granule, kWarmAllocBar)
+      << allocs << " allocs over " << granules << " warm granules";
+}
+
+TEST(ZeroAlloc, TraceEmitsAndMetricCellsAllocateNothing) {
+  // A small ring on purpose: the window wraps each ring about 25 times, the
+  // one spot a naive ring would grow or re-allocate. Every emit and every
+  // counter and histogram cell update is a store into memory the buffer
+  // and the registry allocated up front.
+  obs::TraceConfig tc;
+  tc.ring_capacity = 1u << 10;
+  obs::TraceBuffer buf(/*workers=*/4, tc);
+  obs::MetricsRegistry reg;
+  const obs::MetricId ctr = reg.register_counter("test.counter");
+  const obs::MetricId hist = reg.register_histogram("test.hist", {10, 100, 1000});
+  reg.bind(4);
+
+  obs::TraceRecord r;
+  r.job = obs::kNoTraceJob;
+  r.phase = 0;
+  // Touch every ring, cell and slot once before the window opens.
+  for (WorkerId w = 0; w < 4; ++w) {
+    r.worker = static_cast<std::uint16_t>(w);
+    r.ts_ns = obs::trace_now_ns();
+    r.kind = obs::TraceKind::kExecBegin;
+    buf.ring(w).emit(r);
+    reg.add(ctr, w, 1);
+    reg.observe(hist, w, 50);
+  }
+
+  constexpr std::uint64_t kEvents = 100000;
+  alloc_stats::ThreadScope scope;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    const auto w = static_cast<WorkerId>(i & 3);
+    r.worker = static_cast<std::uint16_t>(w);
+    r.ts_ns = obs::trace_now_ns();
+    r.kind = (i & 1) != 0 ? obs::TraceKind::kExecEnd : obs::TraceKind::kExecBegin;
+    r.aux = static_cast<std::uint32_t>(i & 0xFF);
+    buf.ring(w).emit(r);
+    reg.add(ctr, w, 1);
+    reg.observe(hist, w, i & 0x7FF);
+  }
+  const AllocTotals d = scope.so_far();
+  EXPECT_EQ(d.allocs, 0u) << d.bytes << " bytes";
+  EXPECT_GT(buf.total_dropped(), 0u) << "the window never wrapped a ring";
+}
+
+/// Process-wide heap allocations, less the calling thread's, made while
+/// `n_jobs` one-phase jobs of `granules` spin granules run through a warm
+/// 4-worker pool: the worker plane's share (workers and watchdog). The first
+/// job of the window carries a granule timeout, so the watchdog samples the
+/// body sequence cells throughout.
+std::uint64_t pool_worker_allocs(std::size_t n_jobs, GranuleId granules) {
+  PhaseProgram prog;
+  const PhaseId p = prog.define_phase(make_phase("p", granules).writes("X"));
+  prog.dispatch(p);
+  prog.halt();
+  std::atomic<std::uint64_t> sink{0};
+  rt::BodyTable bodies;
+  bodies.set(p, [&sink](GranuleRange r, WorkerId) {
+    std::uint64_t acc = 0;
+    for (GranuleId g = r.lo; g < r.hi; ++g)
+      for (std::uint32_t i = 0; i < 400; ++i)
+        acc += (static_cast<std::uint64_t>(i) * 2654435761u) ^ (acc >> 7);
+    sink.fetch_add(acc, std::memory_order_relaxed);
+  });
+  ExecConfig cfg;
+  cfg.grain = 1;
+  using Options = pool::PoolRuntime::SubmitOptions;
+  const Options watched{.granule_timeout = std::chrono::seconds{30}};
+
+  pool::PoolRuntime pool({.workers = 4, .batch = 4});
+  {
+    std::vector<pool::JobHandle> warm;
+    warm.push_back(pool.submit(prog, bodies, cfg, watched));
+    for (int i = 0; i < 7; ++i) warm.push_back(pool.submit(prog, bodies, cfg, {}));
+    pool.drain();
+  }
+  const AllocTotals proc0 = alloc_stats::totals();
+  const AllocTotals self0 = alloc_stats::thread_totals();
+  std::vector<pool::JobHandle> handles;
+  handles.reserve(n_jobs);
+  for (std::size_t i = 0; i < n_jobs; ++i)
+    handles.push_back(pool.submit(prog, bodies, cfg, i == 0 ? watched : Options{}));
+  pool.drain();
+  pool.shutdown();
+  const AllocTotals proc1 = alloc_stats::totals();
+  const AllocTotals self1 = alloc_stats::thread_totals();
+  for (const pool::JobHandle& h : handles) {
+    EXPECT_EQ(h.state(), pool::JobState::kComplete);
+    EXPECT_EQ(h.stats().granules, granules);
+  }
+  return (proc1.allocs - proc0.allocs) - (self1.allocs - self0.allocs);
+}
+
+TEST(WarmAlloc, PoolMarginalAllocsPerGranuleStayUnderTheBar) {
+  // A served job pays a one-time cost on the worker plane (start(), the
+  // dispatch advance, buffer growth), so gross allocs per granule of a job
+  // stream say little. The same job count at two granule counts, both past
+  // the per-job growth, differences that cost out and leaves the warm
+  // handout path: carve, ring, local queue, exception barrier, retire.
+  constexpr std::size_t kJobs = 8;
+  constexpr GranuleId kSmall = 512, kLarge = 4096;
+  const std::uint64_t small = pool_worker_allocs(kJobs, kSmall);
+  const std::uint64_t large = pool_worker_allocs(kJobs, kLarge);
+  const double marginal =
+      large <= small ? 0.0
+                     : static_cast<double>(large - small) /
+                           static_cast<double>(kJobs * (kLarge - kSmall));
+  EXPECT_LE(marginal, kWarmAllocBar)
+      << "worker-plane allocs: " << small << " at " << kSmall
+      << " granules a job, " << large << " at " << kLarge;
 }
 
 // --- live-table iteration regression ---------------------------------------

@@ -246,8 +246,8 @@ TEST(FaultPool, PoolJobFailsWithoutTouchingSiblings) {
     pool::PoolRuntime pool(pc);
     ExecConfig ec;
     ec.max_granule_retries = 1;
-    faulty = pool.submit(g.program, bodies, ec);
-    sibling = pool.submit(clean.prog, clean_bodies, ExecConfig{});
+    faulty = pool.submit(g.program, bodies, ec, {});
+    sibling = pool.submit(clean.prog, clean_bodies, ExecConfig{}, {});
 
     // wait() must wake on the failure terminal, not hang — and by the
     // done() => stats()-final contract the fault accounting is complete
@@ -300,7 +300,7 @@ TEST(FaultPool, PoolTransientFaultStillCompletes) {
   pool::PoolConfig pc;
   pc.workers = 2;
   pool::PoolRuntime pool(pc);
-  pool::JobHandle h = pool.submit(g.program, bodies, ExecConfig{});
+  pool::JobHandle h = pool.submit(g.program, bodies, ExecConfig{}, {});
   EXPECT_EQ(h.wait(), JobState::kComplete);
   pool.shutdown();
   rec.expect_exactly_once();
@@ -385,7 +385,7 @@ TEST(FaultWatchdog, NoTimeoutMeansNoWatchdogFlag) {
   pool::PoolConfig pc;
   pc.workers = 2;
   pool::PoolRuntime pool(pc);
-  pool::JobHandle h = pool.submit(s.prog, bodies, ExecConfig{});
+  pool::JobHandle h = pool.submit(s.prog, bodies, ExecConfig{}, {});
   EXPECT_EQ(h.wait(), JobState::kComplete);
   pool.shutdown();
   EXPECT_EQ(n.load(), 4u);

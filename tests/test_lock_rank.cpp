@@ -267,6 +267,18 @@ TEST(RankedMutexTryLock, GuardReleasesOnlyWhatItAcquired) {
   RankedLock relock(mu);
 }
 
+TEST(RankedMutexTryLock, GuardReleasesABlockingLockOnce) {
+  RankedMutex<LockRank::kControl> mu;
+  {
+    RankedTryLock lock(mu);
+    lock.lock();
+    EXPECT_EQ(held(LockRank::kControl), lock_rank::kChecksEnabled ? 1u : 0u);
+  }
+  EXPECT_EQ(held(LockRank::kControl), 0u);
+  // Released exactly once: a blocking lock would hang on a leaked hold.
+  RankedLock relock(mu);
+}
+
 TEST(RankedMutexTryLockDeathTest, SuccessfulOutOfRankTryAbortsWhenChecked) {
   if (!lock_rank::kChecksEnabled) {
     // Release build: the try succeeds with no validator call.

@@ -388,7 +388,7 @@ TEST(PoolTracing, JobLifecycleAndGranuleIdentities) {
     pc.trace = &trace;
 
     pool::PoolRuntime pool(pc);
-    pool::JobHandle job = pool.submit(g.program, bodies, g.exec);
+    pool::JobHandle job = pool.submit(g.program, bodies, g.exec, {});
     ASSERT_EQ(job.wait(), pool::JobState::kComplete);
     pool.shutdown();
     rec.expect_exactly_once();
@@ -453,7 +453,7 @@ TEST(MetricsSurface, BenchmarkCounterNamesArePresentOnBothSurfaces) {
   std::atomic<std::uint64_t> sink{0};
   rt::BodyTable bodies = testing::make_recording_bodies(g, rec, sink);
   pool::PoolRuntime pool({.workers = g.workers});
-  ASSERT_EQ(pool.submit(g.program, bodies, g.exec).wait(), pool::JobState::kComplete);
+  ASSERT_EQ(pool.submit(g.program, bodies, g.exec, {}).wait(), pool::JobState::kComplete);
   pool.shutdown();
   const pool::PoolStats ps = pool.stats();
 

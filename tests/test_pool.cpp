@@ -100,48 +100,40 @@ std::uint64_t pool_metric(const PoolRuntime& pool, const char* name) {
 // --- scheduling policy comparator (pure, no threads) ------------------------
 
 TEST(SchedPolicyPick, FifoPicksLowestId) {
-  const JobView a{0, 0, 500};
-  const JobView b{1, 9, 0};
+  const JobView a{0, 0};
+  const JobView b{1, 9};
   EXPECT_TRUE(schedules_before(a, b, SchedPolicy::kFifo));
   EXPECT_FALSE(schedules_before(b, a, SchedPolicy::kFifo));
 }
 
 TEST(SchedPolicyPick, PriorityOutranksIdThenFifoTieBreak) {
-  const JobView low_first{0, 1, 0};
-  const JobView high_later{5, 7, 0};
+  const JobView low_first{0, 1};
+  const JobView high_later{5, 7};
   EXPECT_TRUE(schedules_before(high_later, low_first, SchedPolicy::kPriority));
-  const JobView same_prio{9, 7, 0};
+  const JobView same_prio{9, 7};
   EXPECT_TRUE(schedules_before(high_later, same_prio, SchedPolicy::kPriority));
 }
 
-TEST(SchedPolicyPick, FairSharePicksLeastGranulesThenFifoTieBreak) {
-  const JobView ahead{0, 0, 1000};
-  const JobView behind{3, 0, 10};
-  EXPECT_TRUE(schedules_before(behind, ahead, SchedPolicy::kFairShare));
-  const JobView tied{7, 0, 10};
-  EXPECT_TRUE(schedules_before(behind, tied, SchedPolicy::kFairShare));
-}
-
 TEST(SchedPolicyPick, DeadlinePicksEarliestThenFifoTieBreak) {
-  const JobView late{0, 9, 0, 5000};
-  const JobView soon{4, 0, 0, 1000};
+  const JobView late{0, 9, 5000};
+  const JobView soon{4, 0, 1000};
   // EDF: the earlier absolute deadline wins regardless of id or priority.
   EXPECT_TRUE(schedules_before(soon, late, SchedPolicy::kDeadline));
   EXPECT_FALSE(schedules_before(late, soon, SchedPolicy::kDeadline));
   // Equal deadlines tie-break by id, like every policy.
-  const JobView tied{9, 0, 0, 1000};
+  const JobView tied{9, 0, 1000};
   EXPECT_TRUE(schedules_before(soon, tied, SchedPolicy::kDeadline));
 }
 
 TEST(SchedPolicyPick, DeadlineFreeJobsSortLast) {
-  const JobView batch{0, 0, 0};  // deadline_ns defaults to kNoDeadline
+  const JobView batch{0, 0};  // deadline_ns defaults to kNoDeadline
   EXPECT_EQ(batch.deadline_ns, kNoDeadline);
-  const JobView urgent{7, 0, 0, std::numeric_limits<std::int64_t>::max() - 1};
+  const JobView urgent{7, 0, std::numeric_limits<std::int64_t>::max() - 1};
   // Even the latest representable real deadline outranks "no deadline":
   // deadline-free batch work fills leftover capacity only.
   EXPECT_TRUE(schedules_before(urgent, batch, SchedPolicy::kDeadline));
   // Two deadline-free jobs degrade to fifo.
-  const JobView batch2{3, 0, 0};
+  const JobView batch2{3, 0};
   EXPECT_TRUE(schedules_before(batch, batch2, SchedPolicy::kDeadline));
 }
 
@@ -165,51 +157,19 @@ TEST(PoolConfigDeathTest, RejectsZeroShards) {
                "shards must be at least 1");
 }
 
-TEST(PoolConfigDeathTest, RejectsMismatchedJobShards) {
-  // A per-job shard override that disagrees with an explicit pool-level
-  // count fails at submit: the home-shard geometry is pool machinery.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  SinglePhase s = make_single_phase(32);
-  rt::BodyTable bodies;
-  bodies.set(s.p, [](GranuleRange, WorkerId) {});
-  EXPECT_DEATH(
-      {
-        PoolRuntime pool({.workers = 2, .batch = 4, .shards = 2});
-        pool.submit(s.prog, bodies, ExecConfig{}, 0, CostModel{}, /*shards=*/3);
-      },
-      "mismatches the pool's shard configuration");
-}
-
 TEST(PoolConfigDeathTest, RejectsJobWithMoreShardsThanGranules) {
-  // The per-job executive validates its own geometry: an explicit count
-  // beyond the job's largest phase dies in the job constructor.
+  // Each job's executive validates its own geometry: an explicit pool
+  // count beyond the job's largest phase dies in the job constructor.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   SinglePhase s = make_single_phase(8);
   rt::BodyTable bodies;
   bodies.set(s.p, [](GranuleRange, WorkerId) {});
   EXPECT_DEATH(
       {
-        PoolRuntime pool({.workers = 2, .batch = 4});
-        pool.submit(s.prog, bodies, ExecConfig{}, 0, CostModel{}, /*shards=*/64);
+        PoolRuntime pool({.workers = 2, .batch = 4, .shards = 64});
+        pool.submit(s.prog, bodies, ExecConfig{}, {});
       },
       "more shards than granules");
-}
-
-TEST(PoolConfig, JobOverrideAgreesWithAutoPool) {
-  // With the pool left at kAutoShards, a per-job explicit count is honored.
-  SinglePhase s = make_single_phase(32);
-  std::atomic<std::uint64_t> n{0};
-  rt::BodyTable bodies;
-  bodies.set(s.p, [&](GranuleRange r, WorkerId) {
-    n.fetch_add(r.size(), std::memory_order_relaxed);
-  });
-  PoolRuntime pool({.workers = 2, .batch = 4});
-  JobHandle h = pool.submit(s.prog, bodies, ExecConfig{}, 0, CostModel{},
-                            /*shards=*/3);
-  EXPECT_EQ(h.wait(), JobState::kComplete);
-  pool.shutdown();
-  EXPECT_EQ(h.stats().shards, 3u);
-  EXPECT_EQ(n.load(), 32u);
 }
 
 // --- completion and accounting ----------------------------------------------
@@ -239,15 +199,15 @@ TEST(PoolCompletion, ManyConcurrentJobsAllCompleteWithExactAccounting) {
 
   std::vector<JobHandle> handles;
   {
-    PoolRuntime pool({.workers = 4, .batch = 4, .policy = SchedPolicy::kFairShare});
+    PoolRuntime pool({.workers = 4, .batch = 4, .policy = SchedPolicy::kFifo});
     ExecConfig cfg;
     cfg.grain = 8;
     cfg.early_serial = true;
     for (int i = 0; i < kJobs / 2; ++i)
-      handles.push_back(pool.submit(two[i].prog, bodies[i], cfg));
+      handles.push_back(pool.submit(two[i].prog, bodies[i], cfg, {}));
     for (int i = 0; i < kJobs / 2; ++i)
       handles.push_back(
-          pool.submit(loops[i].prog, bodies[kJobs / 2 + i], cfg));
+          pool.submit(loops[i].prog, bodies[kJobs / 2 + i], cfg, {}));
 
     for (auto& h : handles) EXPECT_EQ(h.wait(), JobState::kComplete);
     pool.shutdown();
@@ -319,7 +279,7 @@ RotationOrder run_three_jobs_under(SchedPolicy policy) {
 
   PoolRuntime pool({.workers = 1, .batch = 4, .policy = policy});
   ExecConfig cfg;
-  JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg);
+  JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg, {});
   // The only worker must be pinned inside the gate body before the jobs
   // arrive; a worker still on its way there would rank the gate job against
   // them.
@@ -328,7 +288,8 @@ RotationOrder run_three_jobs_under(SchedPolicy policy) {
   const int prio[3] = {1, 9, 5};
   JobHandle handles[3];
   for (int i = 0; i < 3; ++i)
-    handles[i] = pool.submit(jobs_prog[i].prog, tag_bodies[i], cfg, prio[i]);
+    handles[i] =
+        pool.submit(jobs_prog[i].prog, tag_bodies[i], cfg, {.priority = prio[i]});
 
   gate.store(true, std::memory_order_release);
   EXPECT_EQ(blocker.wait(), JobState::kComplete);
@@ -353,7 +314,7 @@ TEST(PoolScheduling, FifoPolicyOrdersRotationsBySubmission) {
   EXPECT_EQ(r.preempt_leaves, 0u);
 }
 
-// --- fair share balance ------------------------------------------------------
+// --- rotation between a half-served and a fresh job ---------------------------
 
 /// Deterministic rotation scenario on two workers, batch = grain = 1.
 ///
@@ -363,9 +324,9 @@ TEST(PoolScheduling, FifoPolicyOrdersRotationsBySubmission) {
 /// granule history. Job N is then submitted fresh (zero granules). Releasing
 /// L's gate sends worker 1 rotating with exactly two candidates:
 ///   M (runnable, 2 granules executed)  vs  N (queued, 0 granules).
-/// kFairShare must adopt N first; kFifo must adopt M (lower id) first.
+/// kFifo must adopt M (lower id) first, whatever either job has executed.
 /// Returns the recorded body order of M's fourth granule ("M") and N ("N").
-std::vector<char> run_fair_share_scenario(SchedPolicy policy) {
+std::vector<char> run_rotation_scenario(SchedPolicy policy) {
   SinglePhase l_prog = make_single_phase(1);
   SinglePhase m_prog = make_single_phase(4);
   SinglePhase n_prog = make_single_phase(1);
@@ -398,11 +359,11 @@ std::vector<char> run_fair_share_scenario(SchedPolicy policy) {
 
   PoolRuntime pool({.workers = 2, .batch = 1, .policy = policy});
   ExecConfig cfg;  // grain = 1: one granule per assignment
-  JobHandle l = pool.submit(l_prog.prog, l_bodies, cfg);
+  JobHandle l = pool.submit(l_prog.prog, l_bodies, cfg, {});
   while (!l_started.load(std::memory_order_acquire)) std::this_thread::yield();
-  JobHandle m = pool.submit(m_prog.prog, m_bodies, cfg);
+  JobHandle m = pool.submit(m_prog.prog, m_bodies, cfg, {});
   while (!m_blocked.load(std::memory_order_acquire)) std::this_thread::yield();
-  JobHandle n = pool.submit(n_prog.prog, n_bodies, cfg);
+  JobHandle n = pool.submit(n_prog.prog, n_bodies, cfg, {});
   gate_l.store(true, std::memory_order_release);
 
   // Worker 1 finishes L, then rotates through N and M's fourth granule (in
@@ -425,13 +386,8 @@ std::vector<char> run_fair_share_scenario(SchedPolicy policy) {
   return order;
 }
 
-TEST(PoolScheduling, FairSharePrefersLeastServedJobAtRotation) {
-  const std::vector<char> order = run_fair_share_scenario(SchedPolicy::kFairShare);
-  EXPECT_EQ(order, (std::vector<char>{'N', 'M'}));
-}
-
 TEST(PoolScheduling, FifoPrefersEarliestSubmittedJobAtRotation) {
-  const std::vector<char> order = run_fair_share_scenario(SchedPolicy::kFifo);
+  const std::vector<char> order = run_rotation_scenario(SchedPolicy::kFifo);
   EXPECT_EQ(order, (std::vector<char>{'M', 'N'}));
 }
 
@@ -454,8 +410,8 @@ TEST(PoolCancel, CancelBeforeOpenWinsOnceAndVictimNeverRuns) {
 
   PoolRuntime pool({.workers = 1, .batch = 4});
   ExecConfig cfg;
-  JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg);
-  JobHandle victim = pool.submit(victim_prog.prog, victim_bodies, cfg);
+  JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg, {});
+  JobHandle victim = pool.submit(victim_prog.prog, victim_bodies, cfg, {});
 
   EXPECT_EQ(victim.state(), JobState::kQueued);
   EXPECT_TRUE(victim.cancel());
@@ -500,7 +456,7 @@ TEST(PoolCancel, MidRunCancelDrainsAndFinalizesCancelled) {
   PoolRuntime pool({.workers = 2, .batch = 4});
   ExecConfig cfg;
   cfg.grain = 1;  // one granule per assignment: fine-grained recall coverage
-  JobHandle h = pool.submit(s.prog, bodies, cfg);
+  JobHandle h = pool.submit(s.prog, bodies, cfg, {});
 
   // Wait until a body holds a ticket: kRunning alone can be observed before
   // any worker refilled, and a cancel there would leave nothing in flight.
@@ -568,8 +524,8 @@ TEST(PoolCancel, CancelDuringStartFinalizesWithoutAResident) {
   PoolRuntime pool({.workers = 1, .batch = 4});
   ExecConfig cfg;
   cfg.grain = 1;
-  JobHandle j = pool.submit(held, held_bodies, cfg);
-  JobHandle l = pool.submit(long_job.prog, long_bodies, cfg);
+  JobHandle j = pool.submit(held, held_bodies, cfg, {});
+  JobHandle l = pool.submit(long_job.prog, long_bodies, cfg, {});
   while (!in_action.load(std::memory_order_acquire)) std::this_thread::yield();
 
   // Give cancel() time to raise the flag and queue behind the action.
@@ -610,7 +566,7 @@ TEST(PoolTerminal, DoneImpliesStatsFinalSpinRegression) {
   ExecConfig cfg;
   cfg.grain = 1;
   for (int iter = 0; iter < 50; ++iter) {
-    JobHandle h = pool.submit(s.prog, bodies, cfg);
+    JobHandle h = pool.submit(s.prog, bodies, cfg, {});
     while (!h.done()) std::this_thread::yield();
     const JobStats first = h.stats();
     // Every executed granule passed through a local run-queue, so the
@@ -642,7 +598,7 @@ TEST(PoolAdmission, OverBudgetSubmitRejectsWithoutExecuting) {
 
   PoolRuntime pool({.workers = 1, .batch = 4, .max_pending = 1});
   ExecConfig cfg;
-  JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg);
+  JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg, {});
 
   // The blocker holds the whole pending budget: the next submit must come
   // back already terminal, without blocking and without ever executing.
@@ -666,7 +622,7 @@ TEST(PoolAdmission, OverBudgetSubmitRejectsWithoutExecuting) {
   // provably free before the re-admission submit.
   while (pool_metric(pool, "pool.jobs_completed") < 1) std::this_thread::yield();
   // The budget freed up: the same program is admitted now.
-  JobHandle admitted = pool.submit(extra_prog.prog, extra_bodies, cfg);
+  JobHandle admitted = pool.submit(extra_prog.prog, extra_bodies, cfg, {});
   EXPECT_EQ(admitted.wait(), JobState::kComplete);
   pool.shutdown();
 
@@ -745,7 +701,7 @@ TEST(PoolDeadline, EdfOrdersRotationsByDeadline) {
   PoolRuntime pool({.workers = 1, .batch = 4,
                     .policy = SchedPolicy::kDeadline});
   ExecConfig cfg;
-  JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg);
+  JobHandle blocker = pool.submit(gate_prog.prog, gate_bodies, cfg, {});
   // Pin the only worker inside the gate body before the jobs arrive (see
   // run_three_jobs_under).
   while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -782,7 +738,7 @@ TEST(PoolHandles, WaitForTimesOutOnRunningJobAndReturnsTerminalAfter) {
 
   PoolRuntime pool({.workers = 1, .batch = 4});
   ExecConfig cfg;
-  JobHandle h = pool.submit(s.prog, bodies, cfg);
+  JobHandle h = pool.submit(s.prog, bodies, cfg, {});
   // Gated body: the deadline passes with the job still non-terminal.
   const JobState timed_out = h.wait_for(std::chrono::milliseconds{5});
   EXPECT_FALSE(is_terminal(timed_out));
@@ -813,7 +769,7 @@ TEST(PoolHandles, HandlesOutliveThePool) {
   JobHandle survivor;
   {
     PoolRuntime pool({.workers = 2, .batch = 4});
-    survivor = pool.submit(s.prog, bodies, ExecConfig{});
+    survivor = pool.submit(s.prog, bodies, ExecConfig{}, {});
     EXPECT_EQ(survivor.wait(), JobState::kComplete);
   }  // pool destroyed; the handle remains
   EXPECT_TRUE(survivor.valid());
@@ -847,7 +803,7 @@ TEST(PoolHappensBefore, IdentityOrderHoldsForPooledJob) {
   PoolRuntime pool({.workers = 4, .batch = 4});
   ExecConfig cfg;
   cfg.grain = 8;
-  JobHandle h = pool.submit(s.prog, bodies, cfg);
+  JobHandle h = pool.submit(s.prog, bodies, cfg, {});
   EXPECT_EQ(h.wait(), JobState::kComplete);
   pool.shutdown();
 
@@ -983,7 +939,7 @@ TEST(PoolResidency, ManagementBoundJobIsCappedAndExtraResidentsLeave) {
     Rendezvous all(kWorkers, std::chrono::seconds{2});
     ManagementBoundJob job(&all);
     PoolRuntime pool({.workers = kWorkers, .shards = 1});
-    JobHandle h = pool.submit(job.prog, job.bodies, job.cfg);
+    JobHandle h = pool.submit(job.prog, job.bodies, job.cfg, {});
     wait_for_capped(pool, 1, h);
     ASSERT_FALSE(h.done()) << "the job finished before the rule capped it";
     EXPECT_EQ(h.wait(), JobState::kComplete);
@@ -1076,7 +1032,7 @@ TEST(PoolResidency, BodyBoundJobIsNeverCapped) {
   PoolRuntime pool({.workers = 4});
   ExecConfig cfg;
   cfg.grain = 1;
-  JobHandle h = pool.submit(s.prog, bodies, cfg);
+  JobHandle h = pool.submit(s.prog, bodies, cfg, {});
   EXPECT_EQ(h.wait(), JobState::kComplete);
   pool.shutdown();
 
@@ -1100,14 +1056,16 @@ TEST(PoolResidency, BodyBoundJobGetsTheWorkersACappedJobFrees) {
   Rendezvous two(2, std::chrono::seconds{2});
   rt::BodyTable spin_bodies =
       probe_bodies({spin.p}, spin_probe, kBodyBoundSpin, &two);
-  PoolRuntime pool({.workers = kWorkers, .policy = SchedPolicy::kFifo});
+  // One shard per job: the chain job's single control mutex is what the
+  // rule caps.
+  PoolRuntime pool(
+      {.workers = kWorkers, .policy = SchedPolicy::kFifo, .shards = 1});
   ExecConfig cfg;
   cfg.grain = 1;
-  JobHandle a = pool.submit(chain.prog, chain.bodies, chain.cfg,
-                            /*priority=*/0, CostModel{}, /*shards=*/1);
+  JobHandle a = pool.submit(chain.prog, chain.bodies, chain.cfg, {});
   wait_for_capped(pool, 1, a);
   ASSERT_FALSE(a.done()) << "the job finished before the rule capped it";
-  JobHandle b = pool.submit(spin.prog, spin_bodies, cfg);
+  JobHandle b = pool.submit(spin.prog, spin_bodies, cfg, {});
   EXPECT_EQ(b.wait(), JobState::kComplete);
   EXPECT_FALSE(a.done()) << "the body-bound job waited for the capped one";
   EXPECT_GE(spin_probe.workers_used(), 2u);
@@ -1136,7 +1094,7 @@ TEST(PoolResidency, IdleWorkersSleepWhileACappedJobRunsAlone) {
   constexpr std::uint32_t kWorkers = 4;
   ManagementBoundJob job;
   PoolRuntime pool({.workers = kWorkers, .shards = 1});
-  JobHandle h = pool.submit(job.prog, job.bodies, job.cfg);
+  JobHandle h = pool.submit(job.prog, job.bodies, job.cfg, {});
   wait_for_capped(pool, 1, h);
   ASSERT_FALSE(h.done()) << "the job finished before the rule capped it";
   const double cpu0 = process_cpu_s();
@@ -1256,16 +1214,6 @@ TEST(PoolPreempt, SpareAnswersAHigherPriorityArrival) {
   EXPECT_EQ(o.preempt_leaves, 1u);
 }
 
-// Fair share ranks by progress, so every fresh job would outrank every
-// running one: the rule stays off there.
-TEST(PoolPreempt, FairShareNeverLeaves) {
-  const PreemptOutcome o =
-      run_preempt_scenario({.policy = SchedPolicy::kFairShare});
-  EXPECT_EQ(o.urgent_state, JobState::kComplete);
-  EXPECT_EQ(o.long_state, JobState::kComplete);
-  EXPECT_EQ(o.preempt_leaves, 0u);
-}
-
 TEST(PoolPreempt, LaterDeadlineArrivalWaits) {
   const PreemptOutcome o = run_preempt_scenario({.urgent = false});
   EXPECT_EQ(o.urgent_state, JobState::kComplete);
@@ -1299,7 +1247,7 @@ TEST(PoolHandles, PollAndQueuedTimeTracking) {
 
   PoolRuntime pool({.workers = 2, .batch = 4});
   ExecConfig cfg;
-  JobHandle h = pool.submit(s.prog, bodies, cfg);
+  JobHandle h = pool.submit(s.prog, bodies, cfg, {});
   EXPECT_TRUE(h.valid());
   EXPECT_EQ(h.wait(), JobState::kComplete);
   EXPECT_TRUE(h.done());

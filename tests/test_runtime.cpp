@@ -324,7 +324,7 @@ TEST(RtBatchedHandoff, FewerLockAcquisitionsSameWork) {
   bodies.set(a, body);
   bodies.set(b, body);
 
-  auto run_with_batch = [&](std::uint32_t batch) {
+  auto run_with = [&](std::uint32_t batch, std::uint32_t shards) {
     ExecConfig cfg;
     cfg.grain = 4;
     cfg.early_serial = true;
@@ -334,22 +334,28 @@ TEST(RtBatchedHandoff, FewerLockAcquisitionsSameWork) {
     RtConfig rc;
     rc.workers = 4;
     rc.batch = batch;
+    rc.shards = shards;
     ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies, rc);
     return runtime.run();
   };
-  const RtResult r1 = run_with_batch(1);
-  const RtResult r16 = run_with_batch(16);
+  // The shipped shard geometry, and one shard: there every refill is a
+  // control section, so batching is all that amortizes the mutex.
+  for (const std::uint32_t shards : {kAutoShards, 1u}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    const RtResult r1 = run_with(1, shards);
+    const RtResult r16 = run_with(16, shards);
 
-  EXPECT_EQ(r1.granules_executed, 4u * 2u * 512u);
-  EXPECT_EQ(r16.granules_executed, r1.granules_executed);
-  EXPECT_EQ(testing::metric(r16.metrics, "worker.tasks"),
-            testing::metric(r1.metrics, "worker.tasks"));
-  // The acceptance bar is 2x; steady state delivers far more (~16x), so 2x
-  // leaves headroom for wait-path reacquisitions under scheduler noise.
-  const std::uint64_t locks1 = testing::control_and_wait_locks(r1.metrics);
-  const std::uint64_t locks16 = testing::control_and_wait_locks(r16.metrics);
-  EXPECT_GE(locks1, 2 * locks16)
-      << "batch=1 locks: " << locks1 << ", batch=16 locks: " << locks16;
+    EXPECT_EQ(r1.granules_executed, 4u * 2u * 512u);
+    EXPECT_EQ(r16.granules_executed, r1.granules_executed);
+    EXPECT_EQ(testing::metric(r16.metrics, "worker.tasks"),
+              testing::metric(r1.metrics, "worker.tasks"));
+    // The acceptance bar is 2x; steady state delivers far more (~16x), so
+    // 2x leaves headroom for wait-path reacquisitions under scheduler noise.
+    const std::uint64_t locks1 = testing::control_and_wait_locks(r1.metrics);
+    const std::uint64_t locks16 = testing::control_and_wait_locks(r16.metrics);
+    EXPECT_GE(locks1, 2 * locks16)
+        << "batch=1 locks: " << locks1 << ", batch=16 locks: " << locks16;
+  }
 }
 
 // --- dynamic conflicting submission on real threads --------------------------
@@ -357,7 +363,8 @@ TEST(RtBatchedHandoff, FewerLockAcquisitionsSameWork) {
 /// Phase a runs with phase b's root already queued behind it (universal
 /// mapping). Mid-run, a body dynamically submits phase-c work conflicting
 /// with a's run; c is released at elevated priority when a's run completes.
-/// Runs on one worker with `batch`, `n` granules in a and in b.
+/// Runs on `workers` workers (one by default) with `batch` and `shards`,
+/// `n` granules in a and in b.
 struct ElevatedReleaseRun {
   static constexpr GranuleId kM = 16;  ///< granules of c
   static constexpr GranuleId kGrain = 8;
@@ -365,7 +372,9 @@ struct ElevatedReleaseRun {
   HappensBeforeRecorder rec;
   RtResult res;
 
-  ElevatedReleaseRun(std::uint32_t batch, GranuleId granules)
+  ElevatedReleaseRun(std::uint32_t batch, GranuleId granules,
+                     std::uint32_t workers = 1,
+                     std::uint32_t shards = kAutoShards)
       : n(granules), rec(3, granules) {
     PhaseProgram prog;
     PhaseId a = prog.define_phase(make_phase("a", n).writes("X"));
@@ -391,8 +400,9 @@ struct ElevatedReleaseRun {
 
     ExecConfig cfg;
     cfg.grain = kGrain;
-    ThreadedRuntime runtime(prog, cfg, CostModel::free_of_charge(), bodies,
-                            RtConfig{.workers = 1, .batch = batch});
+    ThreadedRuntime runtime(
+        prog, cfg, CostModel::free_of_charge(), bodies,
+        RtConfig{.workers = workers, .batch = batch, .shards = shards});
     rt_ptr = &runtime;
     res = runtime.run();
   }
@@ -410,6 +420,18 @@ struct ElevatedReleaseRun {
       last = std::max(last, rec.finish_ticket(phase, g));
     return last;
   }
+
+  /// Every granule ran once, and no c granule started before a's run
+  /// completed.
+  void expect_release_after_blocker() const {
+    EXPECT_EQ(res.granules_executed, 2u * n + kM);
+    const std::uint64_t last_a_finish = last_finish(0, n);
+    for (GranuleId g = 0; g < kM; ++g) {
+      ASSERT_TRUE(rec.executed(2, g));
+      EXPECT_GT(rec.start_ticket(2, g), last_a_finish)
+          << "conflicting granule " << g << " ran before its blocker completed";
+    }
+  }
 };
 
 TEST(RtSubmitConflicting, ElevatedReleaseOrderingEndToEnd) {
@@ -419,16 +441,10 @@ TEST(RtSubmitConflicting, ElevatedReleaseOrderingEndToEnd) {
   //   2. released c work takes the elevated lane — with one worker it must
   //      run strictly before the normal-priority b work already waiting.
   const ElevatedReleaseRun run(/*batch=*/1, /*n=*/64);
-  EXPECT_EQ(run.res.granules_executed, 2u * run.n + ElevatedReleaseRun::kM);
-
-  const std::uint64_t last_a_finish = run.last_finish(0, run.n);
-  for (GranuleId g = 0; g < ElevatedReleaseRun::kM; ++g) {
-    ASSERT_TRUE(run.rec.executed(2, g));
-    EXPECT_GT(run.rec.start_ticket(2, g), last_a_finish)
-        << "conflicting granule " << g << " ran before its blocker completed";
+  ASSERT_NO_FATAL_FAILURE(run.expect_release_after_blocker());
+  for (GranuleId g = 0; g < ElevatedReleaseRun::kM; ++g)
     EXPECT_LT(run.rec.finish_ticket(2, g), run.rec.start_ticket(1, 0))
         << "elevated release did not outrank queued normal work at " << g;
-  }
 }
 
 TEST(RtSubmitConflicting, ElevatedReleaseBoundedByOneLocalQueueAtDefaultBatch) {
@@ -440,20 +456,26 @@ TEST(RtSubmitConflicting, ElevatedReleaseBoundedByOneLocalQueueAtDefaultBatch) {
   const std::uint32_t batch = RtConfig{}.batch;
   const GranuleId queue_granules = 2 * batch * ElevatedReleaseRun::kGrain;
   const ElevatedReleaseRun run(batch, queue_granules + ElevatedReleaseRun::kGrain);
-  EXPECT_EQ(run.res.granules_executed, 2u * run.n + ElevatedReleaseRun::kM);
-
-  const std::uint64_t last_a_finish = run.last_finish(0, run.n);
-  for (GranuleId g = 0; g < ElevatedReleaseRun::kM; ++g) {
-    ASSERT_TRUE(run.rec.executed(2, g));
-    EXPECT_GT(run.rec.start_ticket(2, g), last_a_finish)
-        << "conflicting granule " << g << " ran before its blocker completed";
-  }
+  ASSERT_NO_FATAL_FAILURE(run.expect_release_after_blocker());
   const std::uint64_t last_c_finish = run.last_finish(2, ElevatedReleaseRun::kM);
   std::uint64_t b_ahead = 0;
   for (GranuleId g = 0; g < run.n; ++g)
     if (run.rec.start_ticket(1, g) < last_c_finish) ++b_ahead;
   EXPECT_LE(b_ahead, queue_granules)
       << "more than one local queue of normal work ran ahead of the release";
+}
+
+TEST(RtSubmitConflicting, ReleaseWaitsForTheBlockerOnEveryShardCount) {
+  // The same mid-run submission on four workers, at one shard (every
+  // refill a control section), at two and seven (the rings), and at the
+  // shipped geometry: no shard count may let a c granule start before a's
+  // run completes, or lose or repeat a granule. run() checks the shard
+  // census.
+  for (const std::uint32_t shards : {1u, 2u, 7u, kAutoShards}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    const ElevatedReleaseRun run(/*batch=*/4, /*n=*/224, /*workers=*/4, shards);
+    run.expect_release_after_blocker();
+  }
 }
 
 TEST(RtSubmitConflicting, ImmediateWhenBlockerAlreadyComplete) {

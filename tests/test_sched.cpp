@@ -545,6 +545,108 @@ TEST(ShardedExecutive, DepositsRetireInOneCoalescedSweep) {
   ex.check_census();
 }
 
+TEST(ShardedExecutive, WarmSingleTakesPopOneAssignmentEachWithoutControl) {
+  // A deep home ring (batch 4096, grain 1: one granule per assignment) is
+  // served one assignment per acquire: each single take pops exactly one
+  // assignment off the ring and enters no control section until the home
+  // ring is dry. A pop is O(taken), whatever the ring still holds.
+  constexpr std::uint32_t kDepth = 4096;
+  SinglePhase s = make_single_phase(8 * kDepth);
+  ExecConfig cfg;
+  cfg.grain = 1;
+  ShardedExecutive ex(s.prog, cfg, CostModel::free_of_charge(),
+                      {.shards = 2, .workers = 2, .batch = kDepth});
+  ex.start();
+  std::vector<Ticket> done;  // stays empty: pure handout, nothing retires
+  std::vector<Assignment> out;
+  const ShardAcquire primer = ex.acquire(0, 1, done, out);
+  ASSERT_TRUE(primer.swept);
+  ASSERT_EQ(primer.taken, 1u);
+  const ShardStatsView primed = ex.stats();
+  ASSERT_EQ(primed.scattered, 2u * kDepth) << "both rings primed to depth";
+
+  for (std::uint32_t i = 1; i <= kDepth; ++i) {
+    const ShardAcquire r = ex.acquire(0, 1, done, out);
+    ASSERT_EQ(r.taken, 1u) << "take " << i;
+    ASSERT_FALSE(r.swept) << "take " << i << " entered the control plane";
+    const ShardStatsView now = ex.stats();
+    ASSERT_EQ(now.ring_pops, primed.ring_pops + i) << "take " << i;
+    ASSERT_EQ(now.shard_hits, primed.shard_hits + i) << "take " << i;
+    ASSERT_EQ(now.control_acquisitions, primed.control_acquisitions);
+  }
+  // The home ring is dry: the next single take bites the sibling's ring,
+  // still without a control section.
+  const ShardAcquire bite = ex.acquire(0, 1, done, out);
+  EXPECT_EQ(bite.taken, 1u);
+  EXPECT_FALSE(bite.swept);
+  EXPECT_EQ(ex.stats().sibling_hits, 1u);
+  EXPECT_EQ(ex.stats().control_acquisitions, primed.control_acquisitions);
+  EXPECT_EQ(out.size(), kDepth + 2u);
+}
+
+TEST(ShardedExecutive, StatsAreFinalOnceFinished) {
+  // Three threads drive an executive to the end, each spinning on acquire()
+  // until finished() reads true, so peers are still entering sections when
+  // the program finishes. The first thread to see finished() reads the
+  // stats the way the pool's finalize fold does (fault_stats() first, which
+  // passes through the control mutex, then stats()); nothing may be added
+  // after that read. With one shard every spin is a control section; with
+  // four the sweeps race the ring probes. A few rounds each, because the
+  // race is there in only some of them.
+  for (const std::uint32_t shards : {1u, 1u, 1u, 1u, 1u, 4u, 4u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    const GranuleId n = 64;
+    PhaseProgram prog;
+    const PhaseId a = prog.define_phase(make_phase("a", n).writes("X"));
+    const PhaseId b = prog.define_phase(make_phase("b", n).reads("X").writes("Y"));
+    prog.dispatch(a, {EnableClause{"b", MappingKind::kIdentity, {}}});
+    prog.dispatch(b);
+    prog.halt();
+    ExecConfig cfg;
+    cfg.grain = 1;
+    ShardedExecutive ex(prog, cfg, CostModel::free_of_charge(),
+                        {.shards = shards, .workers = 3, .batch = 8});
+    ex.start();
+
+    std::atomic<bool> first{false};
+    ShardStatsView at_finish;
+    auto drive = [&](WorkerId w) {
+      std::vector<Ticket> done;
+      std::vector<Assignment> out;
+      while (!ex.finished()) {
+        out.clear();
+        (void)ex.acquire(w, 8, done, out);  // retires `done`, takes more
+        for (const Assignment& as : out) done.push_back(as.ticket);
+        if (out.empty() && ex.has_idle_work()) (void)ex.idle_work();
+      }
+      if (!first.exchange(true)) {
+        (void)ex.fault_stats();
+        at_finish = ex.stats();
+      }
+    };
+    {
+      std::vector<std::jthread> threads;
+      for (WorkerId w = 0; w < 3; ++w) threads.emplace_back(drive, w);
+    }
+    const ShardStatsView after = ex.stats();
+    EXPECT_EQ(after.control_acquisitions, at_finish.control_acquisitions);
+    EXPECT_EQ(after.control_hold_ns, at_finish.control_hold_ns);
+    EXPECT_EQ(after.sweeps, at_finish.sweeps);
+    EXPECT_EQ(after.scattered, at_finish.scattered);
+    EXPECT_EQ(after.deposits, at_finish.deposits);
+    EXPECT_EQ(after.shard_hits, at_finish.shard_hits);
+    EXPECT_EQ(after.sibling_hits, at_finish.sibling_hits);
+    EXPECT_EQ(after.ring_pops, at_finish.ring_pops);
+    EXPECT_EQ(after.ring_push_full, at_finish.ring_push_full);
+    if (shards == 1) {
+      EXPECT_EQ(after.control_busy, 0u);
+      EXPECT_EQ(after.ring_pop_empty, 0u);
+    }
+    EXPECT_GT(after.control_acquisitions, 0u);
+    ex.check_census();
+  }
+}
+
 TEST(Dispatcher, RetireRetiresWithoutPullingWork) {
   // The last rounds of a worker leaving a capped pool job: its finished
   // tickets retire, but no new work lands in its local queue.
@@ -720,7 +822,7 @@ TEST(PoolSteal, StealsSumAcrossJobsAndStatsStayConsistent) {
   cfg.grain = 8;
   std::vector<pool::JobHandle> handles;
   for (int j = 0; j < 3; ++j)
-    handles.push_back(pool.submit(progs[j].prog, bodies[j], cfg));
+    handles.push_back(pool.submit(progs[j].prog, bodies[j], cfg, {}));
   for (auto& h : handles) EXPECT_EQ(h.wait(), pool::JobState::kComplete);
   pool.shutdown();
 
@@ -758,9 +860,9 @@ TEST(PoolSteal, CancellationObservedMidBatch) {
 
   ExecConfig cfg;
   cfg.grain = 2;  // several assignments per batch: the cancel lands mid-batch
-  pool::JobHandle ha = pool.submit(a.prog, a_bodies, cfg);
+  pool::JobHandle ha = pool.submit(a.prog, a_bodies, cfg, {});
   while (!a_started.load(std::memory_order_acquire)) std::this_thread::yield();
-  pool::JobHandle hb = pool.submit(b.prog, b_bodies, cfg);
+  pool::JobHandle hb = pool.submit(b.prog, b_bodies, cfg, {});
   EXPECT_TRUE(hb.cancel());  // the only worker is pinned inside A's batch
   EXPECT_EQ(hb.state(), pool::JobState::kCancelled);
   gate.store(true, std::memory_order_release);

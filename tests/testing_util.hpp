@@ -86,8 +86,8 @@ inline std::uint64_t metric(const obs::MetricsSnapshot& m, std::string_view name
 }
 
 /// A threaded run's control-plane sections plus its parks on the pool's
-/// condition variable: the executive contention total the batching tests
-/// and gates compare.
+/// condition variable: the executive contention total the batching test
+/// compares (RtBatchedHandoff.FewerLockAcquisitionsSameWork).
 inline std::uint64_t control_and_wait_locks(const obs::MetricsSnapshot& m) {
   return metric(m, "exec.control_acquisitions") + metric(m, "worker.wait_wakeups");
 }
@@ -443,6 +443,13 @@ inline rt::RtResult run_threaded_checked(const GeneratedProgram& g) {
   EXPECT_EQ(res.granules_executed, g.total);
   EXPECT_GE(metric(res.metrics, "worker.tasks"), g.phases.size());
   EXPECT_LE(res.utilization(), 1.0 + 1e-9);
+  // shard.hits (home plus sibling) counts served calls, shard.ring.pop the
+  // assignments they popped: every warm hit pops at least one, and only the
+  // ring path (more than one shard) counts either.
+  if (metric(res.metrics, "shard.count") > 1) {
+    EXPECT_GE(metric(res.metrics, "shard.ring.pop"),
+              metric(res.metrics, "shard.hits"));
+  }
   // A run is one job on a private kFifo pool: its workers never rotate to
   // another job and never leave to answer an arrival, and a lone worker
   // has nobody to shed, so it never caps the job.
@@ -482,10 +489,10 @@ inline void run_pool_checked(const GeneratedProgram& g) {
   bool cancelled = false;
   {
     pool::PoolRuntime pool(pc);
-    pool::JobHandle main_job = pool.submit(g.program, bodies, g.exec);
+    pool::JobHandle main_job = pool.submit(g.program, bodies, g.exec, {});
     pool::JobHandle extra;
     if (g.cancel_second_job) {
-      extra = pool.submit(throwaway, tbodies, ExecConfig{});
+      extra = pool.submit(throwaway, tbodies, ExecConfig{}, {});
       cancelled = extra.cancel();  // may lose the race to adoption
     }
     EXPECT_EQ(main_job.wait(), pool::JobState::kComplete);
@@ -888,11 +895,11 @@ inline void run_fault_checked(std::uint64_t seed) {
     }
 
     pool::PoolRuntime pool(pc);
-    pool::JobHandle h = pool.submit(g.program, bodies, ec);
+    pool::JobHandle h = pool.submit(g.program, bodies, ec, {});
     pool::JobHandle ph;
-    if (poison_sibling) ph = pool.submit(g.program, pbodies, ec);
+    if (poison_sibling) ph = pool.submit(g.program, pbodies, ec, {});
     pool::JobHandle wh;
-    if (wide != nullptr) wh = pool.submit(wide->program, wide->bodies, wide->exec);
+    if (wide != nullptr) wh = pool.submit(wide->program, wide->bodies, wide->exec, {});
     EXPECT_EQ(h.wait(), pool::JobState::kComplete);
     if (poison_sibling) {
       EXPECT_EQ(ph.wait(), pool::JobState::kFailed);

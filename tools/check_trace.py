@@ -31,7 +31,7 @@ def fail(path, msg):
 # Instant names the exporter's generic branch emits with an "aux" arg
 # (obs/trace_export.cpp default case; names from TraceKind to_string).
 # ring_overflow is the lock-free deposit path going direct-to-sweep — its
-# aux (tickets retired directly) is what the t12 diagnosis reads.
+# aux counts the tickets retired directly.
 AUX_INSTANTS = {
     "refill",
     "steal_attempt",
